@@ -3,9 +3,12 @@
 // consumption of the current block, so per-block wall clock approaches
 // max(round_trip, consumption) instead of their sum. The grid sweeps
 // block size x simulated round-trip latency with a fixed per-item
-// consumption cost in the streaming sink; every cell checks the
-// prefetched result is byte-identical to the non-prefetch baseline and
-// the paired timings land in BENCH_ppk_prefetch.json.
+// consumption cost in the streaming sink, at the default batch width.
+// Each cell streams kReps alternating baseline/prefetch pairs and
+// records total stream time and time to first row (ttfr); every run is
+// checked byte-identical to the first baseline. BENCH_ppk_prefetch.json
+// gets the median, min and spread (max - min) of each timing, the
+// median of the per-pair speedups, and the nproc/build/commit stamp.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "compiler/analyzer.h"
 #include "optimizer/optimizer.h"
 #include "runtime/evaluator.h"
@@ -55,13 +59,17 @@ xquery::ExprPtr PlanWithK(RunningExample& env, int k) {
   return e;
 }
 
+constexpr int kReps = 5;
+
 struct GridRow {
   int k = 0;
   int64_t roundtrip_us = 0;
   int64_t blocks = 0;
-  double baseline_ms = 0;
-  double prefetch_ms = 0;
-  double speedup = 0;
+  bench::RepStats baseline_ms;
+  bench::RepStats prefetch_ms;
+  bench::RepStats baseline_ttfr_ms;
+  bench::RepStats prefetch_ttfr_ms;
+  double speedup = 0;  // median over pairs of baseline / prefetch
 };
 
 std::vector<GridRow>& Rows() {
@@ -69,25 +77,38 @@ std::vector<GridRow>& Rows() {
   return rows;
 }
 
+struct StreamTiming {
+  double ms = -1;       // whole stream
+  double ttfr_ms = -1;  // until the sink receives the first item
+};
+
 // Streams the plan with a fixed per-item consumption cost (the mid-tier
 // or client working on the current block) and returns the wall-clock
-// milliseconds plus the serialized result for the identity check.
-double TimedStream(RunningExample& env, const xquery::Expr& plan,
-                   std::string* serialized) {
+// timings plus the serialized result for the identity check.
+StreamTiming TimedStream(RunningExample& env, const xquery::Expr& plan,
+                         std::string* serialized) {
   serialized->clear();
+  StreamTiming timing;
   auto t0 = std::chrono::steady_clock::now();
+  auto since_t0 = [&] {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
   Status s = runtime::EvaluateStream(plan, env.ctx, [&](const xml::Item& item) {
+    if (timing.ttfr_ms < 0) timing.ttfr_ms = since_t0();
     std::this_thread::sleep_for(
         std::chrono::microseconds(kConsumeMicrosPerItem));
     *serialized += xml::SerializeSequence(xml::Sequence{item});
     return Status::OK();
   });
-  auto t1 = std::chrono::steady_clock::now();
+  double total = since_t0();
   if (!s.ok()) {
     std::fprintf(stderr, "bench: %s\n", s.ToString().c_str());
-    return -1;
+    return StreamTiming{};
   }
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  timing.ms = total;
+  return timing;
 }
 
 void BM_PPkPrefetch(benchmark::State& state) {
@@ -102,26 +123,44 @@ void BM_PPkPrefetch(benchmark::State& state) {
   GridRow row;
   row.k = k;
   row.roundtrip_us = roundtrip;
-  std::string baseline_result, prefetch_result;
+  std::vector<double> base_ms, pre_ms, base_ttfr, pre_ttfr, speedups;
   for (auto _ : state) {
+    std::string reference, out;
     env.ctx.ppk_prefetch = false;
     env.stats.Reset();
-    row.baseline_ms = TimedStream(env, *plan, &baseline_result);
+    TimedStream(env, *plan, &reference);  // warm-up, also the reference
     row.blocks = env.stats.ppk_blocks.load();
-
-    env.ctx.ppk_prefetch = true;
-    row.prefetch_ms = TimedStream(env, *plan, &prefetch_result);
+    for (int rep = 0; rep < kReps; ++rep) {
+      StreamTiming pair[2];
+      // Alternate which mode runs first so drift hits both sides.
+      for (int i = 0; i < 2; ++i) {
+        bool prefetch = (i + rep) % 2 == 1;
+        env.ctx.ppk_prefetch = prefetch;
+        pair[prefetch ? 1 : 0] = TimedStream(env, *plan, &out);
+        if (pair[prefetch ? 1 : 0].ms < 0 || out != reference) {
+          state.SkipWithError("prefetch result differs from baseline");
+          return;
+        }
+      }
+      base_ms.push_back(pair[0].ms);
+      pre_ms.push_back(pair[1].ms);
+      base_ttfr.push_back(pair[0].ttfr_ms);
+      pre_ttfr.push_back(pair[1].ttfr_ms);
+      speedups.push_back(pair[0].ms / pair[1].ms);
+    }
   }
-  if (baseline_result != prefetch_result) {
-    state.SkipWithError("prefetch result differs from baseline");
-    return;
-  }
-  row.speedup = row.prefetch_ms > 0 ? row.baseline_ms / row.prefetch_ms : 0;
+  row.baseline_ms = bench::Summarize(base_ms);
+  row.prefetch_ms = bench::Summarize(pre_ms);
+  row.baseline_ttfr_ms = bench::Summarize(base_ttfr);
+  row.prefetch_ttfr_ms = bench::Summarize(pre_ttfr);
+  row.speedup = bench::Summarize(speedups).median;
   Rows().push_back(row);
   state.counters["k"] = k;
   state.counters["roundtrip_us"] = static_cast<double>(roundtrip);
-  state.counters["baseline_ms"] = row.baseline_ms;
-  state.counters["prefetch_ms"] = row.prefetch_ms;
+  state.counters["baseline_ms"] = row.baseline_ms.median;
+  state.counters["prefetch_ms"] = row.prefetch_ms.median;
+  state.counters["baseline_ttfr_ms"] = row.baseline_ttfr_ms.median;
+  state.counters["prefetch_ttfr_ms"] = row.prefetch_ttfr_ms.median;
   state.counters["speedup"] = row.speedup;
 }
 
@@ -132,6 +171,12 @@ BENCHMARK(BM_PPkPrefetch)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
+// Emits `"<name>":median,"<name>_min":..,"<name>_spread":..`.
+void PrintStats(std::FILE* f, const char* name, const bench::RepStats& s) {
+  std::fprintf(f, "\"%s\":%.3f,\"%s_min\":%.3f,\"%s_spread\":%.3f", name,
+               s.median, name, s.min, name, s.spread);
+}
+
 void WriteGrid() {
   const char* path = "BENCH_ppk_prefetch.json";
   std::FILE* f = std::fopen(path, "w");
@@ -140,19 +185,24 @@ void WriteGrid() {
     return;
   }
   std::fprintf(f,
-               "{\"bench\":\"ppk_prefetch\",\"customers\":%d,"
-               "\"consume_us_per_item\":%lld,\"rows\":[",
-               kCustomers,
-               static_cast<long long>(kConsumeMicrosPerItem));
+               "{\"bench\":\"ppk_prefetch\",%s,\"customers\":%d,"
+               "\"consume_us_per_item\":%lld,\"reps\":%d,\"rows\":[",
+               bench::ExportStamp().c_str(), kCustomers,
+               static_cast<long long>(kConsumeMicrosPerItem), kReps);
   for (size_t i = 0; i < Rows().size(); ++i) {
     const GridRow& r = Rows()[i];
-    std::fprintf(f,
-                 "%s{\"k\":%d,\"roundtrip_us\":%lld,\"blocks\":%lld,"
-                 "\"baseline_ms\":%.3f,\"prefetch_ms\":%.3f,"
-                 "\"speedup\":%.3f}",
-                 i == 0 ? "" : ",", r.k, static_cast<long long>(r.roundtrip_us),
-                 static_cast<long long>(r.blocks), r.baseline_ms,
-                 r.prefetch_ms, r.speedup);
+    std::fprintf(f, "%s{\"k\":%d,\"roundtrip_us\":%lld,\"blocks\":%lld,",
+                 i == 0 ? "" : ",", r.k,
+                 static_cast<long long>(r.roundtrip_us),
+                 static_cast<long long>(r.blocks));
+    PrintStats(f, "baseline_ms", r.baseline_ms);
+    std::fputc(',', f);
+    PrintStats(f, "prefetch_ms", r.prefetch_ms);
+    std::fputc(',', f);
+    PrintStats(f, "baseline_ttfr_ms", r.baseline_ttfr_ms);
+    std::fputc(',', f);
+    PrintStats(f, "prefetch_ttfr_ms", r.prefetch_ttfr_ms);
+    std::fprintf(f, ",\"speedup\":%.3f}", r.speedup);
   }
   std::fprintf(f, "]}\n");
   std::fclose(f);

@@ -801,8 +801,10 @@ class Evaluator {
       while (true) {
         // One result row per pull: the root return clause evaluates its
         // expression lazily, so each delivered item pays for exactly one
-        // result-expression evaluation (external calls included) while the
-        // operators beneath the root still run at full batch width.
+        // result-expression evaluation (external calls included). The
+        // operators beneath the root run at full batch width, except that
+        // a PP-k join ends each batch at a source-block boundary, so the
+        // first item leaves after one round trip rather than all of them.
         ALDSP_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch, 1));
         if (!more) return Status::OK();
         ALDSP_RETURN_NOT_OK(

@@ -567,6 +567,10 @@ class JoinOpBase : public PhysicalOperator {
         out->PushRow(std::move(pending_[pending_pos_++]));
         continue;
       }
+      // A latency-bound join ends the batch at a source-block boundary
+      // instead of holding rows while it waits on another round trip;
+      // the next pull finds the following block's fetch in flight.
+      if (latency_bound() && !out->empty()) return true;
       pending_.clear();
       pending_pos_ = 0;
       ALDSP_ASSIGN_OR_RETURN(bool more, Refill());
@@ -578,6 +582,9 @@ class JoinOpBase : public PhysicalOperator {
   /// Produces the next batch of joined tuples into pending(); returns
   /// false when the input is exhausted.
   virtual Result<bool> Refill() = 0;
+
+  /// True when each Refill() waits on a source round trip (PP-k blocks).
+  virtual bool latency_bound() const { return false; }
 
   std::vector<Tuple>* pending() { return &pending_; }
 
@@ -759,6 +766,10 @@ class IndexNLJoinOp final : public NestedLoopJoinOp {
 /// from the ObservedCostModel's per-source round-trip/transfer
 /// observations (ctx.ppk_prefetch_depth pins it).
 ///
+/// Each output batch ends at a block boundary, so a streamed query sees
+/// its first row after one round trip (1 + d blocks read) and consumes
+/// each block while the next fetches are in flight.
+///
 /// Close and the destructor cancel and drain the pipeline, so an early
 /// teardown (LIMIT-style close, timeout abandonment) never leaves a
 /// fetch task running against destroyed operator state.
@@ -786,6 +797,8 @@ class PPkJoinOp final : public JoinOpBase {
   }
 
   void CloseImpl() override { Drain(); }
+
+  bool latency_bound() const override { return true; }
 
   Result<bool> Refill() override {
     if (depth_ == 0) {
@@ -1651,7 +1664,9 @@ class ReturnOp final : public PhysicalOperator {
   // emitted this call, so each delivered item pays for exactly one result
   // expression (external calls included), preserving the incremental-
   // delivery contract. Kernel-evaluable expressions are pure, so those
-  // are computed eagerly per buffered batch either way.
+  // are computed eagerly per buffered batch either way. The upstream pull
+  // is uncapped, so how soon a row arrives is up to the producer: a PP-k
+  // join hands up each block as it is joined rather than a full batch.
   Result<bool> NextBatchImpl(TupleBatch* out) override {
     size_t want = batch_target();
     if (in_pos_ >= in_.size() && !input_done_ &&

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "optimizer/optimizer.h"
 #include "runtime/query_trace.h"
+#include "server/server.h"
 #include "tests/e2e_fixture.h"
+#include "tests/test_fixtures.h"
 #include "xml/serializer.h"
 
 namespace aldsp::runtime {
@@ -179,6 +182,138 @@ TEST(PhysicalParityTest, PrefetchOnAndOffAreByteIdentical) {
         << "k=" << k;
     EXPECT_EQ(env.stats.ppk_blocks.load(), baseline_blocks) << "k=" << k;
     EXPECT_EQ(baseline_blocks, (30 + k - 1) / k) << "k=" << k;
+  }
+}
+
+// ----- Streaming PP-k: first row after one block --------------------------
+//
+// A streamed PP-k join ends each batch at a source-block boundary, so the
+// sink sees its first item once the first block's round trip is back
+// rather than after every block has been fetched and joined.
+
+constexpr int kStreamCustomers = 200;
+constexpr int kStreamK = 20;
+constexpr int kStreamBlocks = kStreamCustomers / kStreamK;
+
+// PP-k blocks read (RuntimeStats::ppk_blocks) when the sink receives its
+// first item; -1 if the stream produced nothing.
+int64_t BlocksAtFirstItem(RunningExample& env, const xquery::Expr& plan) {
+  env.stats.Reset();
+  int64_t at_first = -1;
+  Status st = EvaluateStream(plan, env.ctx, [&](const xml::Item&) {
+    if (at_first < 0) at_first = env.stats.ppk_blocks.load();
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(env.stats.ppk_blocks.load(), kStreamBlocks);
+  return at_first;
+}
+
+TEST(StreamingFirstRowTest, FirstItemFollowsOneBlockAtDefaultWidth) {
+  RunningExample env(kStreamCustomers, 3);
+  ExprPtr plan =
+      PlanWithMethod(env, JoinMethod::kPPkIndexNestedLoop, kStreamK);
+  ASSERT_EQ(env.ctx.batch_size, 1024);
+
+  // Without prefetch the join reads and fetches one block per pull.
+  env.ctx.ppk_prefetch = false;
+  EXPECT_EQ(BlocksAtFirstItem(env, *plan), 1);
+
+  // With prefetch the join has also read the `depth` blocks whose
+  // fetches it keeps in flight, and no more.
+  env.ctx.ppk_prefetch = true;
+  for (int depth : {1, 4}) {
+    env.ctx.ppk_prefetch_depth = depth;
+    int64_t blocks = BlocksAtFirstItem(env, *plan);
+    EXPECT_GE(blocks, 1) << "depth=" << depth;
+    EXPECT_LE(blocks, 1 + depth) << "depth=" << depth;
+  }
+}
+
+TEST(StreamingFirstRowTest, WidthsPrefetchAndDriversAreByteIdentical) {
+  // The reference is the INL join, which the suites above lock to the
+  // naive interpreter; naive nested iteration over 200 x 600 rows is too
+  // slow for the sanitizer builds.
+  RunningExample env(kStreamCustomers, 3);
+  auto reference = Evaluate(
+      *PlanWithMethod(env, JoinMethod::kIndexNestedLoop), env.ctx);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string expected = xml::SerializeSequence(*reference);
+
+  struct Prefetch {
+    bool on;
+    int depth;
+  };
+  ExprPtr plan =
+      PlanWithMethod(env, JoinMethod::kPPkIndexNestedLoop, kStreamK);
+  for (int width : {1, 7, 1024}) {
+    env.ctx.batch_size = width;
+    for (Prefetch p :
+         {Prefetch{false, 0}, Prefetch{true, 1}, Prefetch{true, 8}}) {
+      env.ctx.ppk_prefetch = p.on;
+      env.ctx.ppk_prefetch_depth = p.depth;
+      auto materialized = Evaluate(*plan, env.ctx);
+      ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+      EXPECT_EQ(expected, xml::SerializeSequence(*materialized))
+          << "width=" << width << " depth=" << p.depth;
+      auto streamed = CollectStream(*plan, env.ctx);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(expected, xml::SerializeSequence(*streamed))
+          << "width=" << width << " depth=" << p.depth;
+    }
+  }
+}
+
+// Early exit is the common case once the first item leaves before the
+// last block is fetched: stopping the stream after its first item, with
+// block fetches in flight on the worker pool, must yield the typed error
+// or kCancelled, never a partial success or a hang. Close and the
+// destructor drain the prefetch pipeline; the TSan suite checks that no
+// fetch task outlives the operators it touches.
+TEST(StreamEarlyExitTest, StopAfterFirstItemYieldsTheTypedStatus) {
+  server::ServerOptions options;
+  options.ppk_prefetch_depth = 4;
+  options.max_query_dop = 1;
+  server::DataServicePlatform platform(options);
+  auto customers = std::shared_ptr<relational::Database>(
+      aldsp::testing::MakeCustomerDb(kStreamCustomers, 0).release());
+  auto cards = std::shared_ptr<relational::Database>(
+      aldsp::testing::MakeCreditCardDb(kStreamCustomers).release());
+  // Slept round trips keep the prefetched block fetches in flight when
+  // the first item reaches the sink.
+  cards->latency_model().roundtrip_micros = 2000;
+  cards->latency_model().sleep = true;
+  ASSERT_TRUE(
+      platform.RegisterRelationalSource("ns3", customers, "oracle").ok());
+  ASSERT_TRUE(platform.RegisterRelationalSource("ns2", cards, "db2").ok());
+
+  const char* kCrossJoin =
+      "for $c in ns3:CUSTOMER(), $cc in ns2:CREDIT_CARD() "
+      "where $c/CID eq $cc/CID "
+      "return <X>{fn:data($cc/CCN)}</X>";
+  auto explain = platform.Explain(kCrossJoin);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  ASSERT_NE(explain->find("join[ppk-inl]"), std::string::npos) << *explain;
+
+  for (bool cancel : {false, true}) {
+    for (int round = 0; round < 5; ++round) {
+      int delivered = 0;
+      Status st = platform.ExecuteStream(kCrossJoin, [&](const xml::Item&) {
+        if (++delivered > 1) return Status::OK();
+        if (!cancel) return Status::RuntimeError("consumer stopped");
+        auto live = platform.query_registry().Snapshot();
+        EXPECT_EQ(live.size(), 1u);
+        EXPECT_TRUE(!live.empty() &&
+                    platform.CancelQuery(live[0].query_id));
+        return Status::OK();
+      });
+      EXPECT_EQ(st.code(),
+                cancel ? StatusCode::kCancelled : StatusCode::kRuntimeError)
+          << st.ToString();
+      EXPECT_EQ(delivered, 1) << "cancel=" << cancel;
+      EXPECT_EQ(platform.query_registry().live_count(), 0);
+      EXPECT_EQ(platform.worker_pool().queue_depth(), 0);
+    }
   }
 }
 

@@ -10,11 +10,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "observability/critical_path.h"
 #include "observability/timeline.h"
 #include "observability/trace_export.h"
+#include "optimizer/optimizer.h"
 #include "runtime/query_trace.h"
 #include "server/explain.h"
 #include "server/server.h"
@@ -642,6 +644,73 @@ TEST(TimelineRowAccountingTest, SpanRowsCountRowsNotBatches) {
   EXPECT_TRUE(saw_scan);
   EXPECT_TRUE(saw_return);
   env.ctx.batch_size = 1024;
+}
+
+// ----- Streamed PP-k: prefetch overlap on the critical path ----------------
+
+TEST(TimelinePrefetchOverlapTest, StreamedPPkHidesRoundTripsBehindTheSink) {
+  // The overlap gate reads the timeline, not the wall clock: a streamed
+  // PP-k join hands each block up as soon as it is joined, so while the
+  // sink consumes one block the next block's fetch runs on a pool worker.
+  // Source time on a worker lane that the driving lane never waited on
+  // is prefetch-hidden. If the join drained every block before the
+  // first item, all round trips would happen before the sink runs and
+  // none of them could hide behind it.
+  constexpr int64_t kRoundTripMicros = 2000;
+  constexpr int kK = 20;
+  RunningExample env(200, 3);
+  env.customer_db->latency_model().roundtrip_micros = kRoundTripMicros;
+  env.customer_db->latency_model().sleep = true;
+
+  auto parsed = xquery::ParseExpression(
+      "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+      "where $c/CID eq $o/CID "
+      "return <CO>{fn:data($c/CID)}{fn:data($o/OID)}</CO>");
+  ASSERT_TRUE(parsed.ok());
+  xquery::ExprPtr plan = *parsed;
+  DiagnosticBag bag;
+  compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
+  ASSERT_TRUE(analyzer.Analyze(plan, {}).ok());
+  optimizer::OptimizerOptions options;
+  options.cross_source_method = xquery::JoinMethod::kPPkIndexNestedLoop;
+  options.ppk_k = kK;
+  optimizer::Optimizer opt(&env.functions, &env.schemas, nullptr, options);
+  ASSERT_TRUE(opt.Optimize(plan).ok());
+  bool saw_join = false;
+  for (auto& cl : plan->clauses) {
+    if (cl.kind != xquery::Clause::Kind::kJoin) continue;
+    saw_join = true;
+    cl.method = xquery::JoinMethod::kPPkIndexNestedLoop;
+    cl.ppk_block_size = kK;
+  }
+  ASSERT_TRUE(saw_join);
+  ASSERT_TRUE(env.ctx.ppk_prefetch);
+  ASSERT_EQ(env.ctx.batch_size, 1024);
+
+  // A worker must be dequeuing before the stream starts; otherwise the
+  // driving thread's Task::Wait claims every fetch inline.
+  auto gate = env.pool.Submit([] {});
+  ASSERT_TRUE(gate.WaitFor(std::chrono::seconds(30)));
+
+  QueryTrace trace(QueryTrace::Mode::kTimeline);
+  env.ctx.trace = &trace;
+  // A block of 20 customers yields ~30 items; 200us each keeps the sink
+  // busy for longer than one round trip per block.
+  int items = 0;
+  Status st = runtime::EvaluateStream(*plan, env.ctx, [&](const xml::Item&) {
+    ++items;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GT(items, 0);
+  env.ctx.trace = nullptr;
+
+  // At least one whole round trip hid behind the sink (of nine that
+  // could); a join that stalls until every block is in reports 0.
+  CriticalPathReport r = AnalyzeCriticalPath(trace.BuildTimeline());
+  EXPECT_GE(r.prefetch_hidden_micros, kRoundTripMicros)
+      << observability::RenderCriticalPathText(r);
 }
 
 // ----- Async task spans: queue-wait + join-stall attribution ---------------
