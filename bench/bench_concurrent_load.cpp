@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "examples/example_env.h"
 #include "server/server.h"
 
@@ -95,11 +96,11 @@ void WriteJson(const std::vector<LevelRow>& rows, const MixedRow& mixed,
     return;
   }
   std::fprintf(f,
-               "{\"bench\":\"concurrent_load\",\"smoke\":%s,"
+               "{\"bench\":\"concurrent_load\",%s,\"smoke\":%s,"
                "\"customers\":%d,\"capture_ops\":%d,"
                "\"max_concurrent_queries\":%d,\"rows\":[",
-               g_smoke ? "true" : "false", customers, capture_ops,
-               max_concurrent);
+               bench::ExportStamp().c_str(), g_smoke ? "true" : "false",
+               customers, capture_ops, max_concurrent);
   for (size_t i = 0; i < rows.size(); ++i) {
     const observability::ReplayReport& r = rows[i].report;
     const server::AdmissionSnapshot& a = rows[i].admission;

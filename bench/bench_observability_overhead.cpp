@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "compiler/analyzer.h"
 #include "observability/plan_history.h"
 #include "observability/query_registry.h"
@@ -269,9 +270,9 @@ void WriteGrid() {
     return;
   }
   std::fprintf(f,
-               "{\"bench\":\"observability_overhead\",\"customers\":%d,"
+               "{\"bench\":\"observability_overhead\",%s,\"customers\":%d,"
                "\"repetitions\":%d,\"rows\":[",
-               kCustomers, kRepetitions);
+               bench::ExportStamp().c_str(), kCustomers, kRepetitions);
   for (size_t i = 0; i < Rows().size(); ++i) {
     const GridRow& r = Rows()[i];
     std::fprintf(f,

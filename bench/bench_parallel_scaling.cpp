@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "compiler/analyzer.h"
 #include "optimizer/optimizer.h"
 #include "runtime/evaluator.h"
@@ -265,10 +266,11 @@ void WriteJson() {
     return;
   }
   std::fprintf(f,
-               "{\"bench\":\"parallel_scaling\",\"customers\":%d,"
+               "{\"bench\":\"parallel_scaling\",%s,\"customers\":%d,"
                "\"roundtrip_us\":%lld,\"rating_ms\":%lld,"
                "\"partitioned_join\":[",
-               kCustomers, static_cast<long long>(kRoundTripMicros),
+               bench::ExportStamp().c_str(), kCustomers,
+               static_cast<long long>(kRoundTripMicros),
                static_cast<long long>(kRatingLatencyMillis));
   for (size_t i = 0; i < ScalingRows().size(); ++i) {
     const ScalingRow& r = ScalingRows()[i];

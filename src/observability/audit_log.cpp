@@ -10,7 +10,6 @@ int64_t ExecutionAuditLog::Append(AuditRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
   record.seq = next_seq_++;
   int64_t seq = record.seq;
-  if (sink_ != nullptr) sink_->Append(record);
   if (capacity_ == 0) return seq;
   if (ring_.size() >= capacity_) ring_.pop_front();
   ring_.push_back(std::move(record));
@@ -25,11 +24,6 @@ std::vector<AuditRecord> ExecutionAuditLog::Records() const {
 int64_t ExecutionAuditLog::total_appended() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_seq_;
-}
-
-void ExecutionAuditLog::SetSink(AuditSink* sink) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_ = sink;
 }
 
 void ExecutionAuditLog::Clear() {

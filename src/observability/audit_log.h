@@ -12,7 +12,7 @@ namespace aldsp::observability {
 
 /// One record per query execution, mirroring the per-service invocation
 /// audits the ALDSP console surfaces. Kept JSONL-serializable and flat
-/// so a sink can ship records to external collectors unchanged.
+/// so external collectors can ingest AuditLog() lines unchanged.
 struct AuditRecord {
   int64_t seq = 0;            // assigned by the log, monotonically increasing
   uint64_t query_hash = 0;    // FNV-1a of the full query text
@@ -35,14 +35,6 @@ struct AuditRecord {
   int64_t security_denials = 0;  // elements redacted by access control
 };
 
-/// Receives every record as it is appended (under the log's lock; keep
-/// implementations cheap or hand off to a queue).
-class AuditSink {
- public:
-  virtual ~AuditSink() = default;
-  virtual void Append(const AuditRecord& record) = 0;
-};
-
 /// Bounded ring of the most recent execution audit records. Appends are
 /// O(1) and lock-scoped so the hot path stays cheap; the full history
 /// count survives eviction via `total_appended`.
@@ -59,7 +51,6 @@ class ExecutionAuditLog {
   int64_t total_appended() const;
   size_t capacity() const { return capacity_; }
 
-  void SetSink(AuditSink* sink);
   void Clear();
 
   static uint64_t HashQuery(std::string_view text);
@@ -72,7 +63,6 @@ class ExecutionAuditLog {
   mutable std::mutex mutex_;
   std::deque<AuditRecord> ring_;
   int64_t next_seq_ = 0;
-  AuditSink* sink_ = nullptr;
 };
 
 }  // namespace aldsp::observability

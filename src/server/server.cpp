@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -294,16 +295,14 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
   metrics_.RecordWindowed("compile.total_micros",
                           plan->parse_micros + plan->analyze_micros +
                               plan->optimize_micros + plan->pushdown_micros);
-  if (options_.always_on_observability) {
-    // Plan lifecycle plane: record the (statement, plan-version) pair
-    // with the cost-model advice inputs the optimizer just consulted and
-    // an EXPLAIN snapshot, so a later regression report can show what
-    // changed and why the plan flipped.
-    plan_history_.RecordCompile(plan->statement_fingerprint,
-                                plan->fingerprint, plan->text.substr(0, 120),
-                                observed_.AdviceSnapshot(),
-                                RenderPlanSnapshotText(*plan));
-  }
+  // Plan lifecycle plane: record the (statement, plan-version) pair with
+  // the cost-model advice inputs the optimizer just consulted and an
+  // EXPLAIN snapshot, so a later regression report can show what changed
+  // and why the plan flipped.
+  plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
+                              plan->text.substr(0, 120),
+                              observed_.AdviceSnapshot(),
+                              RenderPlanSnapshotText(*plan));
   {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
     while (plan_cache_.size() >= options_.plan_cache_size &&
@@ -321,44 +320,168 @@ Result<xml::Sequence> DataServicePlatform::Execute(const std::string& query) {
   bool cache_hit = false;
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Prepare(query, &cache_hit));
-  return ExecuteObserved(*plan, cache_hit, nullptr);
+  return ExecuteMaterialized(*plan, cache_hit, nullptr);
 }
 
 Result<xml::Sequence> DataServicePlatform::ExecutePlan(
     const CompiledPlan& plan) {
-  return ExecuteObserved(plan, /*plan_cache_hit=*/false, nullptr);
+  return ExecuteMaterialized(plan, /*plan_cache_hit=*/false, nullptr);
 }
 
-std::shared_ptr<runtime::QueryTrace> DataServicePlatform::MakeObservedTrace(
-    const CompiledPlan& plan) const {
-  if (!options_.always_on_observability) return nullptr;
+class DataServicePlatform::ExecutionGuard {
+ public:
+  ExecutionGuard(DataServicePlatform* server, uint64_t query_id)
+      : server_(server), query_id_(query_id) {}
+  ~ExecutionGuard() {
+    ReleaseSlot();
+    server_->query_registry_.Unregister(query_id_);
+  }
+  ExecutionGuard(const ExecutionGuard&) = delete;
+  ExecutionGuard& operator=(const ExecutionGuard&) = delete;
+
+  void HoldSlot(QueryClass cls) { slot_ = cls; }
+  void ReleaseSlot() {
+    if (slot_.has_value()) server_->admission_.Release(*slot_);
+    slot_.reset();
+  }
+
+ private:
+  DataServicePlatform* server_;
+  uint64_t query_id_;
+  std::optional<QueryClass> slot_;  // set while holding an admission slot
+};
+
+Status DataServicePlatform::RunExecution(
+    const CompiledPlan& plan, bool plan_cache_hit,
+    const security::Principal* principal, TraceRequest request,
+    const ExecutionBody& body) {
+  using Mode = runtime::QueryTrace::Mode;
+  const int64_t arrival_micros = NowMicros();
+  ExecutionRecord record;
+  record.plan = &plan;
+  record.plan_cache_hit = plan_cache_hit;
+  record.principal = principal != nullptr ? principal->user : "";
+  const std::string tenant =
+      record.principal.empty() ? "(anonymous)" : record.principal;
+
   // A query an earlier slow run promoted re-executes under a timeline
   // trace so its rendered profile and an openable Chrome trace can be
   // captured; everything else pays only the counters-mode cost.
-  if (options_.slow_query_threshold_micros > 0 &&
-      slow_queries_.IsPromoted(
-          observability::ExecutionAuditLog::HashQuery(plan.text))) {
-    return std::make_shared<runtime::QueryTrace>(
-        runtime::QueryTrace::Mode::kTimeline);
+  const bool timeline =
+      request == TraceRequest::kProfiled ||
+      (options_.slow_query_threshold_micros > 0 &&
+       slow_queries_.IsPromoted(
+           observability::ExecutionAuditLog::HashQuery(plan.text)));
+  auto trace = std::make_shared<runtime::QueryTrace>(
+      timeline ? Mode::kTimeline : Mode::kCounters);
+
+  std::shared_ptr<observability::QueryControl> ctl = query_registry_.Register(
+      plan.fingerprint, plan.statement_fingerprint, tenant,
+      plan.text.substr(0, 120));
+  ctl->SetMemoryBudget(options_.query_memory_budget_bytes);
+  ExecutionGuard guard(this, ctl->query_id);
+
+  // The concurrent serving plane's front door: a shed (queue full / queue
+  // timeout) or a cancel while queued refuses the execution before it
+  // holds any runtime resources — kResourceExhausted / kCancelled, never
+  // partial results.
+  AdmissionController::Ticket ticket = AdmitExecution(plan, tenant, ctl.get());
+  if (!ticket.status.ok()) {
+    audit_.Record("admission", record.principal,
+                  std::string(StatusCodeName(ticket.status.code())) + ": " +
+                      ticket.status.message());
+    // The refused execution is still observed, with zero rows and its
+    // queue wait as wall time.
+    record.outcome = ticket.status;
+    record.wall_micros = ticket.wait_micros;
+    FinishObservation(record);
+    return record.outcome;
   }
-  return std::make_shared<runtime::QueryTrace>(
-      runtime::QueryTrace::Mode::kCounters);
+  guard.HoldSlot(ticket.cls);
+  // Admission wait: arrival at the execution surface to evaluation start.
+  // With admission control off this is registration/trace setup only
+  // (near zero); with it on, time queued in the fair lanes lands here.
+  metrics_.RecordWindowed("admission.wait_micros",
+                          std::max<int64_t>(0, NowMicros() - arrival_micros));
+
+  // A context copy carries the trace and the control block; the owners
+  // keep both alive for any evaluation a fn-bea:timeout abandons on a
+  // pool thread.
+  runtime::RuntimeContext ctx = ctx_;
+  ctx.trace = trace.get();
+  ctx.trace_owner = trace;
+  ctx.exec = ctl.get();
+  ctx.exec_owner = ctl;
+  const int root = request == TraceRequest::kProfiled
+                       ? trace->BeginSpan("query", plan.text)
+                       : -1;
+  const int64_t t0 = NowMicros();
+  {
+    runtime::QueryTrace::Scope scope(trace.get(), root);
+    record.outcome = body(ctx, &record);
+  }
+  record.wall_micros = NowMicros() - t0;
+  guard.ReleaseSlot();
+  if (root >= 0) {
+    trace->AddSpanMetrics(root, record.rows, record.wall_micros);
+    trace->EndSpan(root);
+  }
+
+  ctl->SetPhase(observability::QueryPhase::kFinishing);
+  // Even a failed run made real source observations worth keeping.
+  if (trace->keeps_events()) trace->FeedObservedCost(&observed_);
+  record.trace = trace.get();
+  record.peak_bytes = ctl->peak_bytes.load(std::memory_order_relaxed);
+  FinishObservation(record);
+  return record.outcome;
 }
 
-void DataServicePlatform::FinishObservation(
+Result<xml::Sequence> DataServicePlatform::ExecuteMaterialized(
     const CompiledPlan& plan, bool plan_cache_hit,
-    const runtime::QueryTrace& trace, const Status& outcome, int64_t rows,
-    int64_t bytes, int64_t wall_micros, const std::string& principal,
-    int64_t security_denials, const observability::QueryControl* ctl) {
-  using EventKind = runtime::QueryTrace::EventKind;
-  metrics_.RecordWindowed("query.latency_micros", wall_micros);
-  metrics_.AddWindowedCounter(outcome.ok() ? "query.ok" : "query.error");
+    const security::Principal* principal, TraceRequest request,
+    std::shared_ptr<runtime::QueryTrace>* trace_out) {
+  xml::Sequence result;
+  Status st = RunExecution(
+      plan, plan_cache_hit, principal, request,
+      [&](const runtime::RuntimeContext& ctx,
+          ExecutionRecord* record) -> Status {
+        if (trace_out != nullptr) *trace_out = ctx.trace_owner;
+        ALDSP_ASSIGN_OR_RETURN(result, runtime::Evaluate(*plan.plan, ctx));
+        if (principal != nullptr) {
+          // Fine-grained filtering happens last so cached plans and cached
+          // function results remain user-agnostic (paper §7).
+          ctx.exec->SetPhase(observability::QueryPhase::kSecurityFilter);
+          result = access_control_.FilterResult(*principal, result, &audit_,
+                                                &record->security_denials);
+        }
+        record->rows = static_cast<int64_t>(result.size());
+        record->result = &result;
+        return Status::OK();
+      });
+  if (!st.ok()) return st;
+  return result;
+}
 
+void DataServicePlatform::FinishObservation(const ExecutionRecord& r) {
+  using EventKind = runtime::QueryTrace::EventKind;
+  static const runtime::QueryTrace kNeverRan(
+      runtime::QueryTrace::Mode::kCounters);
+  const runtime::QueryTrace& trace = r.trace != nullptr ? *r.trace : kNeverRan;
+  const CompiledPlan& plan = *r.plan;
+  metrics_.RecordWindowed("query.latency_micros", r.wall_micros);
+  metrics_.AddWindowedCounter(r.outcome.ok() ? "query.ok" : "query.error");
+
+  // Facts shared by the statement sample, audit record, journal entry and
+  // slow-query record, derived once.
   const uint64_t hash =
       observability::ExecutionAuditLog::HashQuery(plan.text);
+  const std::string outcome_name =
+      r.outcome.ok() ? "ok" : StatusCodeName(r.outcome.code());
   const int64_t sql_pushdowns = trace.CountEvents(EventKind::kSql) +
                                 trace.CountEvents(EventKind::kPPkFetch) +
                                 trace.CountEvents(EventKind::kCustomPushdown);
+  const int64_t cache_hits = trace.CountEvents(EventKind::kCacheHit);
+  const int64_t cache_misses = trace.CountEvents(EventKind::kCacheMiss);
 
   // Wall-time split. Timeline traces yield the exact critical-path
   // attribution; counters mode approximates from the O(1) event-micros
@@ -376,33 +499,31 @@ void DataServicePlatform::FinishObservation(
                   trace.SumEventMicros(EventKind::kSourceInvoke) +
                   trace.SumEventMicros(EventKind::kCustomPushdown);
     queue_wait = trace.SumEventMicros(EventKind::kTaskWait);
-    compute = std::max<int64_t>(0, wall_micros - source_wait - queue_wait);
+    compute = std::max<int64_t>(0, r.wall_micros - source_wait - queue_wait);
   }
 
-  const bool cancelled = outcome.code() == StatusCode::kCancelled;
+  const bool cancelled = r.outcome.code() == StatusCode::kCancelled;
   // Shed by admission control or stopped by a memory budget: tracked as
   // its own outcome everywhere — overload protection is not a bug.
-  const bool shed = outcome.code() == StatusCode::kResourceExhausted;
-  const int64_t peak_bytes =
-      ctl == nullptr ? 0 : ctl->peak_bytes.load(std::memory_order_relaxed);
+  const bool shed = r.outcome.code() == StatusCode::kResourceExhausted;
 
   // Per-fingerprint cumulative statistics (pg_stat_statements-style).
   observability::StatementSample sample;
   sample.fingerprint = plan.fingerprint;
   sample.statement_fingerprint = plan.statement_fingerprint;
   sample.query_head = plan.text.substr(0, 120);
-  sample.error = !outcome.ok() && !cancelled && !shed;
+  sample.error = !r.outcome.ok() && !cancelled && !shed;
   sample.cancelled = cancelled;
   sample.shed = shed;
-  sample.wall_micros = wall_micros;
-  sample.rows_returned = rows;
-  sample.peak_bytes = peak_bytes;
+  sample.wall_micros = r.wall_micros;
+  sample.rows_returned = r.rows;
+  sample.peak_bytes = r.peak_bytes;
   sample.source_wait_micros = source_wait;
   sample.compute_micros = compute;
   sample.queue_wait_micros = queue_wait;
-  sample.plan_cache_hit = plan_cache_hit;
-  sample.function_cache_hits = trace.CountEvents(EventKind::kCacheHit);
-  sample.function_cache_misses = trace.CountEvents(EventKind::kCacheMiss);
+  sample.plan_cache_hit = r.plan_cache_hit;
+  sample.function_cache_hits = cache_hits;
+  sample.function_cache_misses = cache_misses;
   stat_statements_.Record(sample);
 
   // Plan lifecycle plane: feed the per-(statement, plan-version) latency
@@ -411,10 +532,10 @@ void DataServicePlatform::FinishObservation(
   // version's baseline breaches its predecessor's, the sentinel hands
   // back both EXPLAIN snapshots; the server renders the structural diff,
   // publishes the completed event, and audits it.
-  if (outcome.ok() && plan.statement_fingerprint != 0) {
+  if (r.outcome.ok() && plan.statement_fingerprint != 0) {
     std::optional<observability::PlanRegressionEvent> regression =
         plan_history_.RecordExecution(plan.statement_fingerprint,
-                                      plan.fingerprint, wall_micros);
+                                      plan.fingerprint, r.wall_micros);
     if (regression.has_value()) {
       regression->explain_diff = RenderExplainDiff(
           regression->baseline_explain, regression->regressed_explain);
@@ -434,26 +555,26 @@ void DataServicePlatform::FinishObservation(
                     regression->ratio);
       plan_history_.PublishRegression(std::move(*regression));
       metrics_.AddWindowedCounter("plan_regression.events");
-      audit_.Record("plan_regression", principal, detail);
+      audit_.Record("plan_regression", r.principal, detail);
     }
   }
 
   // Per-tenant resource attribution: the same deltas rolled into 1m/5m
   // windows keyed by principal, the admission-control substrate.
-  const std::string tenant = principal.empty() ? "(anonymous)" : principal;
+  const std::string tenant = r.principal.empty() ? "(anonymous)" : r.principal;
   metrics_.AddWindowedCounter("tenant." + tenant + ".queries");
   if (sample.error) metrics_.AddWindowedCounter("tenant." + tenant + ".errors");
   if (cancelled) metrics_.AddWindowedCounter("tenant." + tenant + ".cancels");
   if (shed) metrics_.AddWindowedCounter("tenant." + tenant + ".sheds");
-  metrics_.RecordWindowed("tenant." + tenant + ".wall_micros", wall_micros);
+  metrics_.RecordWindowed("tenant." + tenant + ".wall_micros", r.wall_micros);
   metrics_.RecordWindowed("tenant." + tenant + ".source_wait_micros",
                           source_wait);
   metrics_.RecordWindowed(
       "tenant." + tenant + ".source_roundtrips",
       sql_pushdowns + trace.CountEvents(EventKind::kSourceInvoke));
-  metrics_.RecordWindowed("tenant." + tenant + ".rows", rows);
-  if (peak_bytes > 0) {
-    metrics_.RecordWindowed("tenant." + tenant + ".peak_bytes", peak_bytes);
+  metrics_.RecordWindowed("tenant." + tenant + ".rows", r.rows);
+  if (r.peak_bytes > 0) {
+    metrics_.RecordWindowed("tenant." + tenant + ".peak_bytes", r.peak_bytes);
   }
 
   observability::AuditRecord record;
@@ -461,23 +582,24 @@ void DataServicePlatform::FinishObservation(
   record.fingerprint = plan.fingerprint;
   record.statement_fingerprint = plan.statement_fingerprint;
   record.query_head = plan.text.substr(0, 80);
-  record.principal = principal;
-  record.outcome = outcome.ok() ? "ok" : StatusCodeName(outcome.code());
+  record.principal = r.principal;
+  record.outcome = outcome_name;
   record.sources = trace.SourcesTouched();
   record.sql_pushdowns = sql_pushdowns;
-  record.rows_returned = rows;
-  record.bytes_returned = bytes;
-  record.wall_micros = wall_micros;
+  record.rows_returned = r.rows;
+  record.bytes_returned =
+      r.result != nullptr ? xml::SequenceMemoryBytes(*r.result) : 0;
+  record.wall_micros = r.wall_micros;
   record.compile_micros =
-      plan_cache_hit ? 0
-                     : plan.parse_micros + plan.analyze_micros +
-                           plan.optimize_micros + plan.pushdown_micros;
-  record.plan_cache_hit = plan_cache_hit;
-  record.function_cache_hits = trace.CountEvents(EventKind::kCacheHit);
-  record.function_cache_misses = trace.CountEvents(EventKind::kCacheMiss);
+      r.plan_cache_hit ? 0
+                       : plan.parse_micros + plan.analyze_micros +
+                             plan.optimize_micros + plan.pushdown_micros;
+  record.plan_cache_hit = r.plan_cache_hit;
+  record.function_cache_hits = cache_hits;
+  record.function_cache_misses = cache_misses;
   record.timeouts = trace.CountEvents(EventKind::kTimeout);
   record.failovers = trace.CountEvents(EventKind::kFailOver);
-  record.security_denials = security_denials;
+  record.security_denials = r.security_denials;
   exec_audit_.Append(std::move(record));
 
   // Workload capture: the replay driver needs the verbatim text plus the
@@ -487,16 +609,16 @@ void DataServicePlatform::FinishObservation(
     capture.statement_fingerprint = plan.statement_fingerprint;
     capture.plan_fingerprint = plan.fingerprint;
     capture.text = plan.text;
-    capture.principal = principal;
-    capture.outcome = outcome.ok() ? "ok" : StatusCodeName(outcome.code());
-    capture.wall_micros = wall_micros;
-    capture.rows = rows;
-    capture.peak_bytes = peak_bytes;
+    capture.principal = r.principal;
+    capture.outcome = outcome_name;
+    capture.wall_micros = r.wall_micros;
+    capture.rows = r.rows;
+    capture.peak_bytes = r.peak_bytes;
     workload_journal_.Append(std::move(capture));
   }
 
   if (options_.slow_query_threshold_micros <= 0 ||
-      wall_micros < options_.slow_query_threshold_micros) {
+      r.wall_micros < options_.slow_query_threshold_micros) {
     return;
   }
   observability::SlowQueryRecord slow;
@@ -504,7 +626,7 @@ void DataServicePlatform::FinishObservation(
   slow.fingerprint = plan.fingerprint;
   slow.statement_fingerprint = plan.statement_fingerprint;
   slow.query_head = plan.text.substr(0, 80);
-  slow.wall_micros = wall_micros;
+  slow.wall_micros = r.wall_micros;
   slow.threshold_micros = options_.slow_query_threshold_micros;
   if (trace.keeps_events()) {
     slow.full_trace = true;
@@ -517,9 +639,8 @@ void DataServicePlatform::FinishObservation(
     // First slow sighting: keep the cheap counter summary and promote
     // the hash so the next run executes under a full trace.
     std::ostringstream os;
-    os << "counters: rows=" << rows << " sql_pushdowns=" << sql_pushdowns
-       << " cache_hits=" << trace.CountEvents(EventKind::kCacheHit)
-       << " cache_misses=" << trace.CountEvents(EventKind::kCacheMiss)
+    os << "counters: rows=" << r.rows << " sql_pushdowns=" << sql_pushdowns
+       << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses
        << " timeouts=" << trace.CountEvents(EventKind::kTimeout)
        << " failovers=" << trace.CountEvents(EventKind::kFailOver)
        << " sources=";
@@ -533,20 +654,6 @@ void DataServicePlatform::FinishObservation(
     slow_queries_.Promote(hash);
   }
   slow_queries_.Append(std::move(slow));
-}
-
-std::shared_ptr<observability::QueryControl>
-DataServicePlatform::RegisterExecution(const CompiledPlan& plan,
-                                       const security::Principal* principal) {
-  if (!options_.always_on_observability) return nullptr;
-  std::shared_ptr<observability::QueryControl> ctl = query_registry_.Register(
-      plan.fingerprint, plan.statement_fingerprint,
-      principal != nullptr && !principal->user.empty() ? principal->user
-                                                       : "(anonymous)",
-      plan.text.substr(0, 120));
-  ctl->SetMemoryBudget(options_.query_memory_budget_bytes);
-  ctl->SetPhase(observability::QueryPhase::kExecuting);
-  return ctl;
 }
 
 QueryClass DataServicePlatform::ClassifyStatement(
@@ -572,114 +679,18 @@ QueryClass DataServicePlatform::ClassifyStatement(
 }
 
 AdmissionController::Ticket DataServicePlatform::AdmitExecution(
-    const CompiledPlan& plan, const security::Principal* principal,
+    const CompiledPlan& plan, const std::string& tenant,
     observability::QueryControl* ctl) {
   AdmissionController::Ticket ticket;
-  if (!admission_.enabled()) return ticket;
-  const std::string tenant =
-      principal != nullptr && !principal->user.empty() ? principal->user
-                                                       : "(anonymous)";
-  const QueryClass cls = ClassifyStatement(plan);
-  // Queued queries are already registered: they show in LiveQueries* with
-  // phase "queued" and a CancelQuery against them unblocks the wait.
-  if (ctl != nullptr) ctl->SetPhase(observability::QueryPhase::kQueued);
-  ticket = admission_.Admit(tenant, cls, ctl);
-  if (ticket.status.ok() && ctl != nullptr) {
-    ctl->SetPhase(observability::QueryPhase::kExecuting);
+  if (admission_.enabled()) {
+    const QueryClass cls = ClassifyStatement(plan);
+    // Queued queries are already registered: they show in LiveQueries*
+    // with phase "queued" and a CancelQuery against them unblocks the wait.
+    ctl->SetPhase(observability::QueryPhase::kQueued);
+    ticket = admission_.Admit(tenant, cls, ctl);
   }
+  if (ticket.status.ok()) ctl->SetPhase(observability::QueryPhase::kExecuting);
   return ticket;
-}
-
-void DataServicePlatform::RecordRefusal(const CompiledPlan& plan,
-                                        bool plan_cache_hit,
-                                        const Status& refusal,
-                                        const security::Principal* principal,
-                                        int64_t wait_micros) {
-  const std::string user = principal != nullptr ? principal->user : "";
-  audit_.Record("admission", user,
-                std::string(StatusCodeName(refusal.code())) + ": " +
-                    refusal.message());
-  if (!options_.always_on_observability) return;
-  // Mirror the function-ACL denial path: the refused execution still gets
-  // an audit record, a (shed-aware) statement sample and a journal entry,
-  // with zero rows and the queue wait as its wall time.
-  runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
-  FinishObservation(plan, plan_cache_hit, none, refusal, /*rows=*/0,
-                    /*bytes=*/0, wait_micros, user, /*security_denials=*/0);
-}
-
-Result<xml::Sequence> DataServicePlatform::ExecuteObserved(
-    const CompiledPlan& plan, bool plan_cache_hit,
-    const security::Principal* principal) {
-  const int64_t arrival_micros = NowMicros();
-  std::shared_ptr<runtime::QueryTrace> trace = MakeObservedTrace(plan);
-  if (trace == nullptr) {
-    // Observability disabled: the bare execution path still passes the
-    // admission gate (without a registry control block, so queued waits
-    // are not cancellable and budgets are not enforced here).
-    AdmissionController::Ticket bare_ticket =
-        AdmitExecution(plan, principal, nullptr);
-    if (!bare_ticket.status.ok()) return bare_ticket.status;
-    Result<xml::Sequence> bare = runtime::Evaluate(*plan.plan, ctx_);
-    admission_.Release(bare_ticket.cls);
-    if (!bare.ok() || principal == nullptr) return bare;
-    return access_control_.FilterResult(*principal, *bare, &audit_);
-  }
-  std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(plan, principal);
-  // The concurrent serving plane's front door: classify against the
-  // statement's cost history and wait for a slot in this tenant's
-  // weighted-fair lane. A shed (queue full / queue timeout) or a cancel
-  // while queued refuses the execution before it holds any runtime
-  // resources — kResourceExhausted / kCancelled, never partial results.
-  AdmissionController::Ticket ticket =
-      AdmitExecution(plan, principal, ctl.get());
-  if (!ticket.status.ok()) {
-    RecordRefusal(plan, plan_cache_hit, ticket.status, principal,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
-    return ticket.status;
-  }
-  // A context copy carries the trace; trace_owner keeps it alive for any
-  // evaluation a fn-bea:timeout abandons on a pool thread. The control
-  // block rides along the same way (exec/exec_owner).
-  runtime::RuntimeContext ctx = ctx_;
-  ctx.trace = trace.get();
-  ctx.trace_owner = trace;
-  ctx.exec = ctl.get();
-  ctx.exec_owner = ctl;
-  int64_t t0 = NowMicros();
-  // Admission wait: arrival at the execution surface to evaluation start.
-  // With admission control off this is registration/trace setup only
-  // (near zero); with it on, time queued in the fair lanes lands here, so
-  // dashboards built on this window needed no change when queueing
-  // appeared.
-  metrics_.RecordWindowed("admission.wait_micros",
-                          std::max<int64_t>(0, t0 - arrival_micros));
-  Result<xml::Sequence> result = runtime::Evaluate(*plan.plan, ctx);
-  admission_.Release(ticket.cls);
-  int64_t security_denials = 0;
-  if (result.ok() && principal != nullptr) {
-    if (ctl) ctl->SetPhase(observability::QueryPhase::kSecurityFilter);
-    // Fine-grained filtering happens last so cached plans and cached
-    // function results remain user-agnostic (paper §7).
-    xml::Sequence filtered = access_control_.FilterResult(
-        *principal, *result, &audit_, &security_denials);
-    result = std::move(filtered);
-  }
-  int64_t wall = NowMicros() - t0;
-  int64_t rows = result.ok() ? static_cast<int64_t>(result->size()) : 0;
-  int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
-  if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-  if (trace->keeps_events()) {
-    trace->FeedObservedCost(&observed_);
-  }
-  FinishObservation(plan, plan_cache_hit, *trace,
-                    result.ok() ? Status::OK() : result.status(), rows, bytes,
-                    wall, principal != nullptr ? principal->user : "",
-                    security_denials, ctl.get());
-  if (ctl) query_registry_.Unregister(ctl->query_id);
-  return result;
 }
 
 Result<xml::Sequence> DataServicePlatform::CallMethod(
@@ -722,16 +733,19 @@ Result<xml::Sequence> DataServicePlatform::ExecuteAs(
   Status acl = access_control_.CheckFunctionAccess(
       principal, plan->called_functions, &audit_);
   if (!acl.ok()) {
-    // A function-ACL denial is an execution outcome worth auditing too:
-    // the record shows who was refused which query, with zero rows.
-    if (options_.always_on_observability) {
-      runtime::QueryTrace none(runtime::QueryTrace::Mode::kCounters);
-      FinishObservation(*plan, cache_hit, none, acl, 0, 0, 0, principal.user,
-                        /*security_denials=*/1);
-    }
+    // A function-ACL denial never enters the execution scope, but it is an
+    // outcome worth auditing: the record shows who was refused which
+    // query, with zero rows.
+    ExecutionRecord denial;
+    denial.plan = plan.get();
+    denial.plan_cache_hit = cache_hit;
+    denial.principal = principal.user;
+    denial.outcome = acl;
+    denial.security_denials = 1;
+    FinishObservation(denial);
     return acl;
   }
-  return ExecuteObserved(*plan, cache_hit, &principal);
+  return ExecuteMaterialized(*plan, cache_hit, &principal);
 }
 
 Status DataServicePlatform::ExecuteStream(
@@ -744,47 +758,15 @@ Status DataServicePlatform::ExecuteStream(
   // are produced, without materializing the whole result (the paper's
   // server-side streaming API; remote client APIs stay materialized to
   // keep them stateless).
-  std::shared_ptr<runtime::QueryTrace> trace = MakeObservedTrace(*plan);
-  if (trace == nullptr) {
-    AdmissionController::Ticket bare_ticket =
-        AdmitExecution(*plan, nullptr, nullptr);
-    if (!bare_ticket.status.ok()) return bare_ticket.status;
-    Status bare = runtime::EvaluateStream(*plan->plan, ctx_, sink);
-    admission_.Release(bare_ticket.cls);
-    return bare;
-  }
-  std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(*plan, nullptr);
-  AdmissionController::Ticket ticket = AdmitExecution(*plan, nullptr, ctl.get());
-  if (!ticket.status.ok()) {
-    RecordRefusal(*plan, cache_hit, ticket.status, nullptr,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
-    return ticket.status;
-  }
-  runtime::RuntimeContext ctx = ctx_;
-  ctx.trace = trace.get();
-  ctx.trace_owner = trace;
-  ctx.exec = ctl.get();
-  ctx.exec_owner = ctl;
-  int64_t rows = 0;
-  auto counting_sink = [&](const xml::Item& item) -> Status {
-    ++rows;
-    return sink(item);
-  };
-  int64_t t0 = NowMicros();
-  Status st = runtime::EvaluateStream(*plan->plan, ctx, counting_sink);
-  int64_t wall = NowMicros() - t0;
-  admission_.Release(ticket.cls);
-  if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-  if (trace->keeps_events()) {
-    trace->FeedObservedCost(&observed_);
-  }
-  // Streamed items are not retained, so bytes_returned stays 0.
-  FinishObservation(*plan, cache_hit, *trace, st, rows, /*bytes=*/0, wall,
-                    /*principal=*/"", /*security_denials=*/0, ctl.get());
-  if (ctl) query_registry_.Unregister(ctl->query_id);
-  return st;
+  return RunExecution(
+      *plan, cache_hit, nullptr, TraceRequest::kObserved,
+      [&](const runtime::RuntimeContext& ctx, ExecutionRecord* record) {
+        return runtime::EvaluateStream(
+            *plan->plan, ctx, [&](const xml::Item& item) -> Status {
+              ++record->rows;
+              return sink(item);
+            });
+      });
 }
 
 // EXPLAIN describes the plan the evaluator would actually run, so the
@@ -848,52 +830,10 @@ Result<ProfiledExecution> DataServicePlatform::ExecuteProfiled(
                          Prepare(query, &cache_hit));
   ProfiledExecution out;
   out.plan = plan;
-  out.trace = std::make_shared<runtime::QueryTrace>(
-      runtime::QueryTrace::Mode::kTimeline);
-  // A context copy carries the trace so concurrent unprofiled executions
-  // through ctx_ stay untraced; trace_owner keeps the trace alive for
-  // any evaluation a fn-bea:timeout abandons on a pool thread.
-  std::shared_ptr<observability::QueryControl> ctl =
-      RegisterExecution(*plan, nullptr);
-  AdmissionController::Ticket ticket =
-      AdmitExecution(*plan, nullptr, ctl.get());
-  if (!ticket.status.ok()) {
-    RecordRefusal(*plan, cache_hit, ticket.status, nullptr,
-                  ticket.wait_micros);
-    if (ctl) query_registry_.Unregister(ctl->query_id);
-    return ticket.status;
-  }
-  runtime::RuntimeContext ctx = ctx_;
-  ctx.trace = out.trace.get();
-  ctx.trace_owner = out.trace;
-  ctx.exec = ctl.get();
-  ctx.exec_owner = ctl;
-  int root = out.trace->BeginSpan("query", plan->text);
-  auto t0 = std::chrono::steady_clock::now();
-  Result<xml::Sequence> result = [&]() {
-    runtime::QueryTrace::Scope scope(out.trace.get(), root);
-    return runtime::Evaluate(*plan->plan, ctx);
-  }();
-  int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  admission_.Release(ticket.cls);
-  int64_t rows = result.ok() ? static_cast<int64_t>(result->size()) : 0;
-  out.trace->AddSpanMetrics(root, rows, micros);
-  out.trace->EndSpan(root);
-  // Even a failed run made real source observations worth keeping.
-  out.trace->FeedObservedCost(&observed_);
-  if (options_.always_on_observability) {
-    if (ctl) ctl->SetPhase(observability::QueryPhase::kFinishing);
-    int64_t bytes = result.ok() ? xml::SequenceMemoryBytes(*result) : 0;
-    FinishObservation(*plan, cache_hit, *out.trace,
-                      result.ok() ? Status::OK() : result.status(), rows,
-                      bytes, micros, /*principal=*/"",
-                      /*security_denials=*/0, ctl.get());
-  }
-  if (ctl) query_registry_.Unregister(ctl->query_id);
-  if (!result.ok()) return result.status();
-  out.result = std::move(result).value();
+  ALDSP_ASSIGN_OR_RETURN(out.result,
+                         ExecuteMaterialized(*plan, cache_hit, nullptr,
+                                             TraceRequest::kProfiled,
+                                             &out.trace));
   return out;
 }
 
@@ -1109,7 +1049,7 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
         principal.user = entry.principal;
         const bool as_principal =
             !entry.principal.empty() && entry.principal != "(anonymous)";
-        Result<xml::Sequence> result = ExecuteObserved(
+        Result<xml::Sequence> result = ExecuteMaterialized(
             **plan, cache_hit, as_principal ? &principal : nullptr);
         exec.ok = result.ok();
         exec.shed = !result.ok() &&

@@ -2,6 +2,7 @@
 #define ALDSP_SERVER_SERVER_H_
 
 #include <atomic>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -85,11 +86,6 @@ struct ServerOptions {
 
   // ----- Always-on observability plane ---------------------------------
 
-  /// Run every execution under a counters-mode QueryTrace that feeds the
-  /// execution audit log, rolling metrics and slow-query capture.
-  /// Disabling reverts to the bare pre-observability execution path
-  /// (profiling via ExecuteProfiled still works).
-  bool always_on_observability = true;
   /// Retained execution audit records (bounded ring).
   size_t audit_log_capacity = 1024;
   /// Retained slow-query captures (bounded ring).
@@ -302,11 +298,12 @@ class DataServicePlatform {
   Result<std::string> Explain(const std::string& query);
   Result<std::string> ExplainJson(const std::string& query);
 
-  /// Executes with a per-execution QueryTrace attached: every operator
-  /// instance gets a span (rows, micros, bytes) and every source
-  /// interaction an event. The completed trace feeds the observed-cost
-  /// model, closing the §9 observe -> optimize loop; ordinary Execute
-  /// runs with a null trace and pays no instrumentation cost.
+  /// Executes under a timeline QueryTrace with a root `query` span:
+  /// every operator instance gets a span (rows, micros, bytes) and every
+  /// source interaction an event. The completed trace feeds the
+  /// observed-cost model, closing the §9 observe -> optimize loop.
+  /// Ordinary Execute runs under a counters-mode trace instead, which
+  /// feeds the always-on plane but keeps no spans or events.
   Result<ProfiledExecution> ExecuteProfiled(const std::string& query);
 
   /// Runs `query` under a timeline trace and renders it as Chrome
@@ -463,28 +460,67 @@ class DataServicePlatform {
  private:
   Result<std::shared_ptr<const CompiledPlan>> Compile(const std::string& query);
 
-  /// Creates the per-execution trace for the always-on plane: cheap
-  /// counters normally, a full trace when an earlier slow run promoted
-  /// this query's hash. Null when the plane is disabled.
-  std::shared_ptr<runtime::QueryTrace> MakeObservedTrace(
-      const CompiledPlan& plan) const;
+  /// The trace an execution runs under.
+  enum class TraceRequest {
+    /// Counters mode, or a timeline when an earlier slow run promoted the
+    /// query's hash: the always-on plane.
+    kObserved,
+    /// A timeline with a root `query` span (ExecuteProfiled).
+    kProfiled,
+  };
 
-  /// Closes out one observed execution: rolling metrics, the audit
-  /// record, per-fingerprint statement statistics, per-tenant resource
-  /// windows, and slow-query capture/promotion. `ctl` is the execution's
-  /// live-registry control block (null when the plane is disabled or the
-  /// execution was refused before it started).
-  void FinishObservation(const CompiledPlan& plan, bool plan_cache_hit,
-                         const runtime::QueryTrace& trace,
-                         const Status& outcome, int64_t rows, int64_t bytes,
-                         int64_t wall_micros, const std::string& principal,
-                         int64_t security_denials,
-                         const observability::QueryControl* ctl = nullptr);
+  /// The facts one execution leaves behind, handed to FinishObservation.
+  /// The execution scope fills in identity, outcome and wall time; the
+  /// body adds what only it knows (rows, result, security denials).
+  struct ExecutionRecord {
+    const CompiledPlan* plan = nullptr;
+    bool plan_cache_hit = false;
+    /// Null for an execution that never ran (ACL denial, admission
+    /// refusal): observed as an empty counters trace.
+    const runtime::QueryTrace* trace = nullptr;
+    std::string principal;  // "" when anonymous
+    Status outcome;
+    int64_t rows = 0;
+    /// The materialized result, null when streamed (the items are not
+    /// retained). Its bytes are measured after the slot is released.
+    const xml::Sequence* result = nullptr;
+    int64_t wall_micros = 0;
+    int64_t peak_bytes = 0;
+    int64_t security_denials = 0;
+  };
 
-  /// Registers an execution with the live query registry (null when the
-  /// observability plane is off) and stamps the initial phase.
-  std::shared_ptr<observability::QueryControl> RegisterExecution(
-      const CompiledPlan& plan, const security::Principal* principal);
+  /// Evaluates the plan under the scope's runtime context, adding rows,
+  /// the result and security denials to the record.
+  using ExecutionBody = std::function<Status(
+      const runtime::RuntimeContext& ctx, ExecutionRecord* record)>;
+
+  /// Releases the admission slot and unregisters from the live registry
+  /// on every path out of RunExecution.
+  class ExecutionGuard;
+
+  /// The one execution scope behind every surface. In order: makes the
+  /// trace, registers with the live registry, admits (a refusal is
+  /// audited and observed with its queue wait as wall time), records
+  /// admission.wait_micros, runs `body` on a context copy carrying the
+  /// trace and control block, releases the slot, feeds the observed-cost
+  /// model when the trace keeps events, and finishes the observation.
+  Status RunExecution(const CompiledPlan& plan, bool plan_cache_hit,
+                      const security::Principal* principal,
+                      TraceRequest request, const ExecutionBody& body);
+
+  /// RunExecution with the materializing body: evaluates, then applies
+  /// element-level security when `principal` is non-null. `trace_out`,
+  /// when non-null, receives the trace once the execution is admitted.
+  Result<xml::Sequence> ExecuteMaterialized(
+      const CompiledPlan& plan, bool plan_cache_hit,
+      const security::Principal* principal,
+      TraceRequest request = TraceRequest::kObserved,
+      std::shared_ptr<runtime::QueryTrace>* trace_out = nullptr);
+
+  /// Closes out one execution: rolling metrics, the statement sample,
+  /// the plan-history baseline, per-tenant resource windows, the audit
+  /// record, the journal entry and slow-query capture/promotion.
+  void FinishObservation(const ExecutionRecord& record);
 
   /// Priority class for the admission gate, from the statement's observed
   /// cost history: stat_statements mean wall time first, plan-history
@@ -492,30 +528,15 @@ class DataServicePlatform {
   /// earns the analytics class with its first slow executions).
   QueryClass ClassifyStatement(const CompiledPlan& plan) const;
 
-  /// Front-door gate shared by every execution surface: classifies,
-  /// admits (possibly queueing in the caller's lane, possibly shedding
-  /// with kResourceExhausted), stamps phases/budget on `ctl`, and records
-  /// the real admission wait into the admission.wait_micros window. An OK
-  /// ticket holds a slot the caller must Release via the returned ticket.
-  AdmissionController::Ticket AdmitExecution(
-      const CompiledPlan& plan, const security::Principal* principal,
-      observability::QueryControl* ctl);
-
-  /// Observability bookkeeping for a refused execution (admission shed or
-  /// cancel-while-queued): audit record, shed-aware statement sample,
-  /// journal capture — all with zero rows and a counters-mode dummy
-  /// trace, mirroring the function-ACL denial path.
-  void RecordRefusal(const CompiledPlan& plan, bool plan_cache_hit,
-                     const Status& refusal,
-                     const security::Principal* principal,
-                     int64_t wait_micros);
-
-  /// The shared materialized execution path: attaches the observability
-  /// plane, evaluates, applies element-level security when `principal`
-  /// is non-null, and records the audit record.
-  Result<xml::Sequence> ExecuteObserved(const CompiledPlan& plan,
-                                        bool plan_cache_hit,
-                                        const security::Principal* principal);
+  /// Front-door gate: classifies, admits (possibly queueing in the
+  /// tenant's lane, possibly shedding with kResourceExhausted) and stamps
+  /// the queued/executing phases on `ctl`. An OK ticket holds a slot
+  /// that must be released with its class. The admission.wait_micros
+  /// window is recorded by RunExecution, the gate's one caller, so every
+  /// surface records it.
+  AdmissionController::Ticket AdmitExecution(const CompiledPlan& plan,
+                                             const std::string& tenant,
+                                             observability::QueryControl* ctl);
 
   ServerOptions options_;
   compiler::FunctionTable functions_;

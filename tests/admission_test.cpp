@@ -518,37 +518,123 @@ constexpr const char* kLookup =
     "for $c in ns3:CUSTOMER() where $c/CID eq \"CUST001\" "
     "return fn:data($c/LAST_NAME)";
 
-TEST(AdmissionServerTest, BudgetBreachThreadsShedOutcomeEverywhere) {
-  ServerOptions opts;
-  opts.query_memory_budget_bytes = 1024;  // any join build side exceeds this
-  AdmissionServer env(std::move(opts));
+// The execution surfaces that share the server's one execution scope.
+enum class Surface { kExecute, kExecuteAs, kExecuteStream, kExecuteProfiled };
+constexpr Surface kSurfaces[] = {Surface::kExecute, Surface::kExecuteAs,
+                                 Surface::kExecuteStream,
+                                 Surface::kExecuteProfiled};
 
-  auto r = env.platform.Execute(kCrossJoin);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-      << r.status().ToString();
-  EXPECT_TRUE(Contains(r.status().message(), "memory budget"))
-      << r.status().ToString();
+const char* SurfaceName(Surface surface) {
+  switch (surface) {
+    case Surface::kExecute:
+      return "Execute";
+    case Surface::kExecuteAs:
+      return "ExecuteAs";
+    case Surface::kExecuteStream:
+      return "ExecuteStream";
+    case Surface::kExecuteProfiled:
+      return "ExecuteProfiled";
+  }
+  return "?";
+}
 
-  // Outcome threading: audit log, stat_statements, workload journal and
-  // per-tenant metrics all classify the run as shed, not as an error.
-  EXPECT_TRUE(Contains(env.platform.AuditLog(),
-                       "\"outcome\":\"ResourceExhausted\""));
-  auto top = env.platform.stat_statements().TopK(0);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].sheds, 1);
-  EXPECT_EQ(top[0].errors, 0);
-  EXPECT_TRUE(Contains(env.platform.WorkloadJournalJsonl(),
-                       "\"outcome\":\"ResourceExhausted\""));
-  auto snapshot = env.platform.MetricsSnapshot();
-  EXPECT_EQ(snapshot.windowed_counters.at("tenant.(anonymous).sheds").total,
+// ExecuteAs runs as tenant "alice" (no roles, no policies); every other
+// surface runs anonymously.
+std::string TenantOf(Surface surface) {
+  return surface == Surface::kExecuteAs ? "alice" : "(anonymous)";
+}
+
+Status RunOn(DataServicePlatform& platform, Surface surface,
+             const std::string& query) {
+  switch (surface) {
+    case Surface::kExecute:
+      return platform.Execute(query).status();
+    case Surface::kExecuteAs: {
+      security::Principal alice;
+      alice.user = "alice";
+      return platform.ExecuteAs(query, alice).status();
+    }
+    case Surface::kExecuteStream:
+      return platform.ExecuteStream(
+          query, [](const xml::Item&) { return Status::OK(); });
+    case Surface::kExecuteProfiled:
+      return platform.ExecuteProfiled(query).status();
+  }
+  return Status::Internal("unknown surface");
+}
+
+int CountOf(const std::string& haystack, const std::string& needle) {
+  int n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Outcome threading: the audit log, stat_statements, the workload journal
+// and the tenant's metrics each classify exactly one run as shed, not as
+// an error, and the shed run left neither a registry entry nor a slot.
+void ExpectOneShedObserved(DataServicePlatform& platform,
+                           const std::string& tenant) {
+  EXPECT_EQ(CountOf(platform.AuditLog(), "\"outcome\":\"ResourceExhausted\""),
             1);
-  // The breached run unregistered cleanly.
-  EXPECT_EQ(env.platform.query_registry().live_count(), 0);
+  int64_t sheds = 0, errors = 0;
+  for (const auto& entry : platform.stat_statements().TopK(0)) {
+    sheds += entry.sheds;
+    errors += entry.errors;
+  }
+  EXPECT_EQ(sheds, 1);
+  EXPECT_EQ(errors, 0);
+  EXPECT_EQ(CountOf(platform.WorkloadJournalJsonl(),
+                    "\"outcome\":\"ResourceExhausted\""),
+            1);
+  auto snapshot = platform.MetricsSnapshot();
+  EXPECT_EQ(snapshot.windowed_counters.at("tenant." + tenant + ".sheds").total,
+            1);
+  EXPECT_EQ(platform.query_registry().live_count(), 0);
+  EXPECT_EQ(snapshot.counters.at("admission.running"), 0);
+}
 
-  // A point lookup under the same budget stays under it and succeeds.
-  auto ok = env.platform.Execute(kLookup);
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+TEST(AdmissionServerTest, BudgetBreachThreadsShedOutcomeEverywhere) {
+  for (Surface surface : kSurfaces) {
+    SCOPED_TRACE(SurfaceName(surface));
+    ServerOptions opts;
+    opts.query_memory_budget_bytes = 1024;  // any join build side exceeds this
+    AdmissionServer env(std::move(opts));
+
+    Status st = RunOn(env.platform, surface, kCrossJoin);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_TRUE(Contains(st.message(), "memory budget")) << st.ToString();
+    ExpectOneShedObserved(env.platform, TenantOf(surface));
+
+    // A point lookup under the same budget stays under it and succeeds.
+    Status ok = RunOn(env.platform, surface, kLookup);
+    EXPECT_TRUE(ok.ok()) << ok.ToString();
+  }
+}
+
+TEST(AdmissionServerTest, EverySurfaceSamplesTheWaitWindowOncePerCall) {
+  for (int max_concurrent : {0, 1}) {
+    ServerOptions opts;
+    opts.max_concurrent_queries = max_concurrent;
+    AdmissionServer env(std::move(opts));
+    auto wait_samples = [&] {
+      auto windows = env.platform.MetricsSnapshot().windows;
+      auto it = windows.find("admission.wait_micros");
+      return it == windows.end() ? int64_t{0} : it->second.total.count;
+    };
+    for (Surface surface : kSurfaces) {
+      SCOPED_TRACE(std::string(SurfaceName(surface)) +
+                   " max_concurrent_queries=" +
+                   std::to_string(max_concurrent));
+      const int64_t before = wait_samples();
+      Status st = RunOn(env.platform, surface, kLookup);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(wait_samples(), before + 1);
+    }
+  }
 }
 
 TEST(AdmissionServerTest, ExplainShowsClassAndBudget) {
@@ -582,73 +668,75 @@ TEST(AdmissionServerTest, ExplainShowsClassAndBudget) {
 }
 
 TEST(AdmissionServerTest, QueueTimeoutShedsAndCancelWhileQueuedCancels) {
-  ServerOptions opts;
-  opts.max_concurrent_queries = 1;
-  opts.admission_queue_timeout_micros = 300'000;  // 300ms
-  AdmissionServer env(std::move(opts));
+  for (Surface surface : kSurfaces) {
+    SCOPED_TRACE(SurfaceName(surface));
+    ServerOptions opts;
+    opts.max_concurrent_queries = 1;
+    opts.admission_queue_timeout_micros = 300'000;  // 300ms
+    AdmissionServer env(std::move(opts));
 
-  // Hold the only slot deterministically: a streaming query whose sink
-  // blocks until released.
-  std::atomic<bool> holder_started{false};
-  std::atomic<bool> release_holder{false};
-  std::thread holder([&] {
-    Status st = env.platform.ExecuteStream(
-        kLookup, [&](const xml::Item&) -> Status {
-          holder_started.store(true);
-          while (!release_holder.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-          return Status::OK();
-        });
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  });
-  ASSERT_TRUE(WaitFor([&] { return holder_started.load(); }));
+    // Hold the only slot deterministically: a streaming query whose sink
+    // blocks until released.
+    std::atomic<bool> holder_started{false};
+    std::atomic<bool> release_holder{false};
+    std::thread holder([&] {
+      Status st = env.platform.ExecuteStream(
+          kLookup, [&](const xml::Item&) -> Status {
+            holder_started.store(true);
+            while (!release_holder.load(std::memory_order_relaxed)) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            return Status::OK();
+          });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    });
+    ASSERT_TRUE(WaitFor([&] { return holder_started.load(); }));
 
-  // (1) Queue-wait timeout: a second query sheds after ~300ms.
-  auto shed = env.platform.Execute(kCrossJoin);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted)
-      << shed.status().ToString();
-  EXPECT_TRUE(Contains(env.platform.AuditLog(),
-                       "\"outcome\":\"ResourceExhausted\""));
-  // The admission audit trail names the gate.
-  bool saw_admission_event = false;
-  for (const auto& e : env.platform.audit_log().Events()) {
-    if (e.category == "admission") saw_admission_event = true;
-  }
-  EXPECT_TRUE(saw_admission_event);
-
-  // (2) Cancel while queued: find the queued query in the live registry
-  // and cancel it; the waiter returns kCancelled well before its timeout.
-  Status queued_verdict;
-  std::thread queued([&] {
-    auto r = env.platform.Execute(kCrossJoin);
-    queued_verdict = r.ok() ? Status::OK() : r.status();
-  });
-  uint64_t queued_id = 0;
-  ASSERT_TRUE(WaitFor([&] {
-    for (const auto& q : env.platform.query_registry().Snapshot()) {
-      if (q.phase == QueryPhase::kQueued) {
-        queued_id = q.query_id;
-        return true;
-      }
+    // (1) Queue-wait timeout: a second query sheds after ~300ms.
+    Status shed = RunOn(env.platform, surface, kCrossJoin);
+    ASSERT_FALSE(shed.ok());
+    EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted) << shed.ToString();
+    // The admission audit trail names the gate.
+    bool saw_admission_event = false;
+    for (const auto& e : env.platform.audit_log().Events()) {
+      if (e.category == "admission") saw_admission_event = true;
     }
-    return false;
-  }));
-  EXPECT_TRUE(env.platform.CancelQuery(queued_id));
-  queued.join();
-  EXPECT_EQ(queued_verdict.code(), StatusCode::kCancelled)
-      << queued_verdict.ToString();
+    EXPECT_TRUE(saw_admission_event);
 
-  release_holder.store(true);
-  holder.join();
+    // (2) Cancel while queued: find the queued query in the live registry
+    // and cancel it; the waiter returns kCancelled well before its timeout.
+    const bool cancel_while_queued = surface == Surface::kExecute;
+    if (cancel_while_queued) {
+      Status queued_verdict;
+      std::thread queued([&] {
+        queued_verdict = env.platform.Execute(kCrossJoin).status();
+      });
+      uint64_t queued_id = 0;
+      ASSERT_TRUE(WaitFor([&] {
+        for (const auto& q : env.platform.query_registry().Snapshot()) {
+          if (q.phase == QueryPhase::kQueued) {
+            queued_id = q.query_id;
+            return true;
+          }
+        }
+        return false;
+      }));
+      EXPECT_TRUE(env.platform.CancelQuery(queued_id));
+      queued.join();
+      EXPECT_EQ(queued_verdict.code(), StatusCode::kCancelled)
+          << queued_verdict.ToString();
+    }
 
-  auto snapshot = env.platform.MetricsSnapshot();
-  EXPECT_EQ(snapshot.counters.at("admission.shed_timeout"), 1);
-  EXPECT_EQ(snapshot.counters.at("admission.cancelled_while_queued"), 1);
-  EXPECT_EQ(snapshot.counters.at("admission.depth"), 0);
-  EXPECT_EQ(snapshot.counters.at("admission.running"), 0);
-  EXPECT_EQ(env.platform.query_registry().live_count(), 0);
+    release_holder.store(true);
+    holder.join();
+
+    ExpectOneShedObserved(env.platform, TenantOf(surface));
+    auto snapshot = env.platform.MetricsSnapshot();
+    EXPECT_EQ(snapshot.counters.at("admission.shed_timeout"), 1);
+    EXPECT_EQ(snapshot.counters.at("admission.cancelled_while_queued"),
+              cancel_while_queued ? 1 : 0);
+    EXPECT_EQ(snapshot.counters.at("admission.depth"), 0);
+  }
 }
 
 TEST(AdmissionServerTest, ConcurrentMixedLoadDrainsCleanly) {
