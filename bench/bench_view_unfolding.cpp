@@ -25,12 +25,13 @@ declare function tns:profiles() as element(P)* {
 };
 )";
 
-std::unique_ptr<DataServicePlatform> MakePlatform(bool optimize) {
+std::unique_ptr<DataServicePlatform> MakePlatform(bool optimize,
+                                                  bool pushdown = false) {
   auto platform = std::make_unique<DataServicePlatform>();
   platform->options().enable_optimizer = optimize;
   // Pushdown off isolates the optimizer's contribution; source latency
   // makes avoided fetches visible.
-  platform->options().enable_pushdown = false;
+  platform->options().enable_pushdown = pushdown;
   auto db = std::shared_ptr<relational::Database>(
       testing::MakeCustomerDb(300, 3).release());
   db->latency_model().roundtrip_micros = 200;
@@ -65,6 +66,39 @@ void BM_PrunedViewQuery(benchmark::State& state) {
 }
 
 BENCHMARK(BM_PrunedViewQuery)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond)->Iterations(1);
+
+// The §4.2 keyed read, tns:getProfileByID's shape: a predicate on the
+// view's constructed CID child. Optimized, it reaches the CUSTOMER scan
+// (view unfolding, predicate hoisting past the construction, SQL
+// pushdown), so one profile is built; naive, every profile is built and
+// its orders fetched before the filter runs.
+constexpr const char* kKeyedQuery = "tns:profiles()[CID eq \"CUST003\"]";
+
+void BM_KeyedViewRead(benchmark::State& state) {
+  bool optimize = state.range(0) != 0;
+  auto platform = MakePlatform(optimize, /*pushdown=*/true);
+  auto plan = platform->Prepare(kKeyedQuery);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
+    return;
+  }
+  auto* db = platform->adaptors().FindDatabase("customer_db");
+  for (auto _ : state) {
+    db->stats().Reset();
+    auto r = platform->ExecutePlan(**plan);
+    if (!r.ok() || r->size() != 1) {
+      state.SkipWithError("keyed read did not return one profile");
+      return;
+    }
+    benchmark::DoNotOptimize(r->front());
+  }
+  state.SetLabel(optimize ? "optimized" : "naive");
+  state.counters["source_statements"] =
+      static_cast<double>(db->stats().statements.load());
+}
+
+BENCHMARK(BM_KeyedViewRead)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // Compilation cost with and without the view plan cache: the first

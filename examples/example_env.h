@@ -76,14 +76,17 @@ inline std::shared_ptr<relational::Database> MakeBillingDb(int customers) {
   return db;
 }
 
-/// Registers all running-example sources with a platform. Returns the
-/// rating web service for latency/fault injection.
+/// Registers all running-example sources with a platform, over the given
+/// customer and billing databases. Returns the rating web service for
+/// latency/fault injection and call counting.
 inline std::shared_ptr<adaptors::SimulatedWebService> WireRunningExample(
-    server::DataServicePlatform& aldsp, int customers,
+    server::DataServicePlatform& aldsp,
+    std::shared_ptr<relational::Database> customer_db,
+    std::shared_ptr<relational::Database> billing_db,
     int64_t rating_latency_millis = 0) {
-  (void)aldsp.RegisterRelationalSource("ns3", MakeCustomerDb(customers),
+  (void)aldsp.RegisterRelationalSource("ns3", std::move(customer_db),
                                        "oracle");
-  (void)aldsp.RegisterRelationalSource("ns2", MakeBillingDb(customers), "db2");
+  (void)aldsp.RegisterRelationalSource("ns2", std::move(billing_db), "db2");
 
   auto rating_ws = std::make_shared<adaptors::SimulatedWebService>("ratingWS");
   rating_ws->RegisterOperation(
@@ -134,6 +137,14 @@ inline std::shared_ptr<adaptors::SimulatedWebService> WireRunningExample(
       xsd::One(xsd::XType::Atomic(xml::AtomicType::kInteger)));
   (void)aldsp.functions().RegisterInverse("ns1:int2date", "ns1:date2int");
   return rating_ws;
+}
+
+/// Same, over freshly generated databases of `customers` customers.
+inline std::shared_ptr<adaptors::SimulatedWebService> WireRunningExample(
+    server::DataServicePlatform& aldsp, int customers,
+    int64_t rating_latency_millis = 0) {
+  return WireRunningExample(aldsp, MakeCustomerDb(customers),
+                            MakeBillingDb(customers), rating_latency_millis);
 }
 
 /// The Figure 3 logical data service, as XQuery source.

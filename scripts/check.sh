@@ -44,6 +44,18 @@ assert "query" in names, "root query slice missing"
 print(f"trace ok: {len(events)} events, {slices} slices, {len(lanes)} lane(s)")
 PYEOF
 
+# Running-example gate (paper §3.4 / §4.2): tns:getProfileByID's CID
+# predicate on the view's constructed child must reach the CUSTOMER scan's
+# SQL, so a keyed read builds one profile instead of all of them.
+echo "== tier-1: customer_profile pushes getProfileByID's predicate =="
+cmake --build "$repo/build" -j "$jobs" --target customer_profile
+"$repo/build/examples/customer_profile" > "$repo/build/customer_profile.txt"
+if ! grep -qF "WHERE (t1.\"CID\" = 'CUST003')" "$repo/build/customer_profile.txt"; then
+  echo "customer_profile: getProfileByID's CID predicate did not reach SQL" >&2
+  exit 1
+fi
+echo "customer_profile ok: keyed CUSTOMER scan"
+
 # Insight-plane validation: run the statement-insight demo (which ends
 # with a cooperative cancel) and round-trip its StatStatements,
 # LiveQueries, PlanHistory and PlanRegressions JSON exports through a

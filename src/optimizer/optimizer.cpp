@@ -5,6 +5,7 @@
 #include "compiler/analyzer.h"
 #include "compiler/builtins.h"
 #include "optimizer/expr_utils.h"
+#include "runtime/evaluator.h"
 #include "xml/node.h"
 
 namespace aldsp::optimizer {
@@ -344,7 +345,11 @@ class Optimizer::Impl {
     }
     if (e->kind == ExprKind::kFilter) changed |= RuleFilterToWhere(e);
     if (e->kind == ExprKind::kFLWOR) {
-      if (options_.flatten_flwor) changed |= RuleFlattenForBinding(e);
+      if (options_.flatten_flwor) {
+        changed |= RuleFlattenForBinding(e);
+        changed |= RuleSingletonForToLet(e);
+      }
+      if (options_.simplify_construction) changed |= RuleAtomizeCtorChild(e);
       changed |= RuleSplitWhere(e);
       changed |= RulePlaceWhere(e);
       if (options_.introduce_joins) changed |= RuleIntroduceJoins(e);
@@ -513,25 +518,38 @@ class Optimizer::Impl {
     return true;
   }
 
-  // fn:data(<E>{x}</E>) -> x when x is atomic-typed single content.
-  bool RuleDataOnCtor(ExprPtr& e) {
-    if (e->kind != ExprKind::kFunctionCall ||
-        LookupBuiltin(e->fn_name) != Builtin::kData || e->children.size() != 1) {
-      return false;
+  static bool IsDataCall(const Expr& e) {
+    return e.kind == ExprKind::kFunctionCall &&
+           LookupBuiltin(e.fn_name) == Builtin::kData && e.children.size() == 1;
+  }
+
+  // The single atomic-typed content part of a non-conditional element
+  // constructor (attributes aside), or null. The constructed element
+  // keeps that part's runtime type annotation, so atomizing it yields
+  // the part's typed value whenever the part is non-empty.
+  static ExprPtr AtomicContent(const Expr& ctor) {
+    if (ctor.kind != ExprKind::kElementCtor || ctor.conditional) return nullptr;
+    ExprPtr content;
+    for (const auto& c : ctor.children) {
+      if (c->kind == ExprKind::kAttributeCtor) continue;
+      if (content != nullptr) return nullptr;
+      content = c;
     }
-    const ExprPtr& arg = e->children[0];
-    if (arg->kind != ExprKind::kElementCtor || arg->conditional) return false;
-    std::vector<ExprPtr> content;
-    for (const auto& c : arg->children) {
-      if (c->kind != ExprKind::kAttributeCtor) content.push_back(c);
-    }
-    if (content.size() != 1) return false;
-    const xsd::SequenceType& t = content[0]->static_type;
+    if (content == nullptr) return nullptr;
+    const xsd::SequenceType& t = content->static_type;
     if (t.item == nullptr || t.item->kind() != XType::Kind::kAtomic ||
         t.allows_many()) {
-      return false;
+      return nullptr;
     }
-    e = content[0];
+    return content;
+  }
+
+  // fn:data(<E>{x}</E>) -> x when x is atomic-typed single content.
+  bool RuleDataOnCtor(ExprPtr& e) {
+    if (!IsDataCall(*e)) return false;
+    ExprPtr content = AtomicContent(*e->children[0]);
+    if (content == nullptr) return false;
+    e = content;
     return true;
   }
 
@@ -757,6 +775,188 @@ class Optimizer::Impl {
     return false;
   }
 
+  // for $x in <E>...</E>  ->  let $x := <E>...</E>: a non-conditional
+  // constructor is exactly one item, so the loop runs once. After view
+  // unfolding and flattening, a method call with client criteria
+  // (`for $mc_item in tns:getProfile() where $mc_item/CID eq ...`) binds
+  // the view's constructor this way; as a let it reaches
+  // RuleAtomizeCtorChild.
+  bool RuleSingletonForToLet(ExprPtr& e) {
+    bool changed = false;
+    for (auto& cl : e->clauses) {
+      if (cl.kind == Clause::Kind::kFor && cl.positional_var.empty() &&
+          cl.expr->kind == ExprKind::kElementCtor && !cl.expr->conditional) {
+        cl.kind = Clause::Kind::kLet;
+        changed = true;
+      }
+    }
+    return changed;
+  }
+
+  // The one part of `ctor` that can construct a child named `name`, or
+  // null when there is none, several, or a part of unknown shape (an
+  // `if` from <E?>, copied or opaque content) that might yield one too.
+  static ExprPtr SingleChildPart(const Expr& ctor, const std::string& name) {
+    ExprPtr part;
+    for (const auto& c : ctor.children) {
+      if (c->kind == ExprKind::kAttributeCtor) continue;
+      if (c->kind == ExprKind::kElementCtor) {
+        if (!xml::NameMatches(c->ctor_name, name)) continue;
+        if (part != nullptr) return nullptr;
+        part = c;
+        continue;
+      }
+      const xsd::SequenceType& t = c->static_type;
+      if (t.is_empty_sequence() || t.item->kind() == XType::Kind::kAtomic) {
+        continue;
+      }
+      if (t.item->kind() == XType::Kind::kElement &&
+          !xml::NameMatches(t.item->name(), name)) {
+        continue;
+      }
+      return nullptr;
+    }
+    return part;
+  }
+
+  // True if `e` binds any of `names` (FLWOR clause variables, a
+  // quantifier variable, or the context item of a filter predicate).
+  static bool BindsAnyOf(const Expr& e, const std::set<std::string>& names) {
+    if (e.kind == ExprKind::kQuantified) return names.count(e.var_name2) > 0;
+    if (e.kind == ExprKind::kFilter) return names.count(".") > 0;
+    if (e.kind != ExprKind::kFLWOR) return false;
+    for (const Clause& cl : e.clauses) {
+      if (ClauseBindsAnyOf(cl, names)) return true;
+    }
+    return false;
+  }
+
+  // True when comparing an empty <N/> (whose typed value is
+  // xs:untypedAtomic("")) against the literal on the other side of `cmp`
+  // is false without error. In a where clause, the comparison over the
+  // empty content itself is then false as well: a value comparison
+  // yields (), a general comparison false.
+  static bool EmptyElementComparesFalse(const Expr& cmp, int side) {
+    const Expr& other = *cmp.children[1 - side];
+    if (other.kind != ExprKind::kLiteral) return false;
+    xml::Sequence empty_element{xml::Item(xml::AtomicValue::Untyped(""))};
+    xml::Sequence literal{xml::Item(other.literal)};
+    Result<xml::Sequence> r =
+        side == 0 ? runtime::CompareAtomizedOperands(empty_element, literal,
+                                                     cmp.op,
+                                                     cmp.general_comparison)
+                  : runtime::CompareAtomizedOperands(literal, empty_element,
+                                                     cmp.op,
+                                                     cmp.general_comparison);
+    return r.ok() && r->size() == 1 && r->front().is_atomic() &&
+           r->front().atomic().type() == xml::AtomicType::kBoolean &&
+           !r->front().atomic().AsBoolean();
+  }
+
+  // Rewrites the atomized uses of `$var/N` inside `x` (see
+  // RuleAtomizeCtorChild). `where_top` marks a where clause's own
+  // predicate, where only the effective boolean value matters.
+  bool AtomizeChildUses(ExprPtr& x, const std::string& var, const Expr& ctor,
+                        const std::set<std::string>& guarded, bool where_top) {
+    if (BindsAnyOf(*x, guarded)) return false;
+    auto child_step = [&](const Expr& s) {
+      return s.kind == ExprKind::kPathStep && !s.is_attribute_step &&
+             s.children[0]->kind == ExprKind::kVarRef &&
+             s.children[0]->var_name == var;
+    };
+    // The content that atomizing `step` may be replaced by, or null.
+    auto content_for = [&](const Expr& step) -> ExprPtr {
+      ExprPtr part = SingleChildPart(ctor, step.step_name);
+      if (part == nullptr || !IsCheap(*part)) return nullptr;
+      ExprPtr content = AtomicContent(*part);
+      if (content == nullptr ||
+          xsd::AtomizedType(content->static_type) !=
+              xsd::AtomizedType(step.static_type)) {
+        return nullptr;  // would change how the comparison is typed
+      }
+      return content;
+    };
+    bool changed = false;
+    // kComparison holds only value and general comparisons: the grammar
+    // has no node comparisons (is, <<, >>), whose operands keep identity.
+    if (x->kind == ExprKind::kComparison) {
+      for (int side = 0; side < 2; ++side) {
+        ExprPtr& operand = x->children[side];
+        const Expr& step =
+            IsDataCall(*operand) ? *operand->children[0] : *operand;
+        if (!child_step(step)) continue;
+        ExprPtr content = content_for(step);
+        if (content == nullptr) continue;
+        if (content->static_type.allows_empty() &&
+            !(where_top && EmptyElementComparesFalse(*x, side))) {
+          continue;
+        }
+        operand = CloneExpr(content);
+        changed = true;
+      }
+    } else if (IsDataCall(*x) && child_step(*x->children[0])) {
+      ExprPtr content = content_for(*x->children[0]);
+      if (content != nullptr && !content->static_type.allows_empty()) {
+        x = CloneExpr(content);
+        return true;
+      }
+    }
+    xquery::ForEachChildSlot(*x, [&](ExprPtr& c) {
+      if (c) changed |= AtomizeChildUses(c, var, ctor, guarded, false);
+    });
+    return changed;
+  }
+
+  // let $v := <E>{..., <N>{x}</N>, ...}</E> ... $v/N op y  ->  ... x op y
+  // The constructed <N> keeps x's type annotation, so a value or general
+  // comparison (or fn:data) over $v/N needs only the one cheap <N> part;
+  // the constructor itself stays in the let, unduplicated, with its
+  // source calls. RulePlaceWhere can then hoist the predicate above the
+  // construction and SQL pushdown can ship it (paper §4.2's
+  // tns:getProfile()[CID eq $id]: one profile is built, not all).
+  // Content that may be empty is replaced only in a where clause's own
+  // comparison against a literal that an empty <N/> does not satisfy.
+  bool RuleAtomizeCtorChild(ExprPtr& e) {
+    bool changed = false;
+    for (size_t i = 0; i < e->clauses.size(); ++i) {
+      const Clause& let = e->clauses[i];
+      if (let.kind != Clause::Kind::kLet ||
+          let.expr->kind != ExprKind::kElementCtor || let.expr->conditional) {
+        continue;
+      }
+      const ExprPtr ctor = let.expr;
+      const std::string var = let.var;
+      // Uses past a clause that rebinds $v or a variable of the
+      // constructor would see different bindings.
+      std::set<std::string> guarded = FreeVars(*ctor);
+      guarded.insert(var);
+      bool in_scope = true;
+      for (size_t j = i + 1; j < e->clauses.size(); ++j) {
+        Clause& later = e->clauses[j];
+        if (later.kind == Clause::Kind::kGroupBy ||
+            ClauseBindsAnyOf(later, guarded)) {
+          in_scope = false;
+          break;
+        }
+        bool where = later.kind == Clause::Kind::kWhere;
+        if (later.expr) {
+          changed |= AtomizeChildUses(later.expr, var, *ctor, guarded, where);
+        }
+        if (later.condition) {
+          changed |=
+              AtomizeChildUses(later.condition, var, *ctor, guarded, false);
+        }
+        for (auto& ok : later.order_keys) {
+          changed |= AtomizeChildUses(ok.expr, var, *ctor, guarded, false);
+        }
+      }
+      if (in_scope) {
+        changed |= AtomizeChildUses(e->children[0], var, *ctor, guarded, false);
+      }
+    }
+    return changed;
+  }
+
   bool RuleSplitWhere(ExprPtr& e) {
     for (size_t i = 0; i < e->clauses.size(); ++i) {
       Clause& cl = e->clauses[i];
@@ -774,27 +974,42 @@ class Optimizer::Impl {
     return false;
   }
 
+  // Names bound by one clause.
+  static std::set<std::string> ClauseBinds(const Clause& cl) {
+    std::set<std::string> bound;
+    switch (cl.kind) {
+      case Clause::Kind::kFor:
+      case Clause::Kind::kJoin:
+      case Clause::Kind::kLet:
+        bound.insert(cl.var);
+        if (!cl.positional_var.empty()) bound.insert(cl.positional_var);
+        break;
+      case Clause::Kind::kGroupBy:
+        for (const auto& gv : cl.group_vars) bound.insert(gv.out_var);
+        for (const auto& gk : cl.group_keys) {
+          if (!gk.as_var.empty()) bound.insert(gk.as_var);
+        }
+        break;
+      default:
+        break;
+    }
+    return bound;
+  }
+
+  static bool ClauseBindsAnyOf(const Clause& cl,
+                               const std::set<std::string>& names) {
+    for (const auto& n : ClauseBinds(cl)) {
+      if (names.count(n) > 0) return true;
+    }
+    return false;
+  }
+
   // Names bound by clauses [0, upto).
   static std::set<std::string> BoundBefore(const Expr& flwor, size_t upto) {
     std::set<std::string> bound;
     for (size_t i = 0; i < upto && i < flwor.clauses.size(); ++i) {
-      const Clause& cl = flwor.clauses[i];
-      switch (cl.kind) {
-        case Clause::Kind::kFor:
-        case Clause::Kind::kJoin:
-        case Clause::Kind::kLet:
-          bound.insert(cl.var);
-          if (!cl.positional_var.empty()) bound.insert(cl.positional_var);
-          break;
-        case Clause::Kind::kGroupBy:
-          for (const auto& gv : cl.group_vars) bound.insert(gv.out_var);
-          for (const auto& gk : cl.group_keys) {
-            if (!gk.as_var.empty()) bound.insert(gk.as_var);
-          }
-          break;
-        default:
-          break;
-      }
+      std::set<std::string> b = ClauseBinds(flwor.clauses[i]);
+      bound.insert(b.begin(), b.end());
     }
     return bound;
   }
@@ -1282,7 +1497,17 @@ Status Optimizer::Optimize(xquery::ExprPtr& root) {
   int rename_serial = 0;
   Impl impl(functions_, schemas_, view_cache_, options_, &in_progress,
             &rename_serial);
-  return impl.Optimize(root, {});
+  // Unfolding a view exposes its body's structural type, which can turn a
+  // comparison its declared return type left to runtime (an error only
+  // for rows that reach it) into a static type error. Such a query keeps
+  // its unoptimized plan, so it behaves as the reference interpreter does.
+  ExprPtr original = CloneExpr(root);
+  Status st = impl.Optimize(root, {});
+  if (st.code() == StatusCode::kOptimizeError) {
+    root = std::move(original);
+    return Status::OK();
+  }
+  return st;
 }
 
 Result<xquery::ExprPtr> Optimizer::OptimizedViewBody(

@@ -144,15 +144,19 @@ void RenderExprJson(const Expr& e,
   os << "]}";
 }
 
+void RenderPushdownLine(const sql::PushdownStats& p, std::ostream& os) {
+  os << "pushdown: " << p.regions_pushed << " region(s), "
+     << p.bare_scans_pushed << " bare scan(s), " << p.scan_predicates_pushed
+     << " scan predicate(s), " << p.outer_joins_pushed << " outer join(s), "
+     << p.custom_filters_pushed << " custom filter(s)\n";
+}
+
 void RenderCompileHeader(const CompiledPlan& plan, std::ostream& os) {
   os << "compile: parse=" << plan.parse_micros
      << "us analyze=" << plan.analyze_micros
      << "us optimize=" << plan.optimize_micros
      << "us pushdown=" << plan.pushdown_micros << "us\n";
-  os << "pushdown: " << plan.pushdown.regions_pushed << " region(s), "
-     << plan.pushdown.bare_scans_pushed << " bare scan(s), "
-     << plan.pushdown.outer_joins_pushed << " outer join(s), "
-     << plan.pushdown.custom_filters_pushed << " custom filter(s)\n";
+  RenderPushdownLine(plan.pushdown, os);
   if (!plan.called_functions.empty()) {
     os << "calls:";
     for (const auto& f : plan.called_functions) os << " " << f;
@@ -167,6 +171,7 @@ void RenderCompileJson(const CompiledPlan& plan, std::ostream& os) {
      << ",\"pushdown_micros\":" << plan.pushdown_micros
      << "},\"pushdown\":{\"regions\":" << plan.pushdown.regions_pushed
      << ",\"bare_scans\":" << plan.pushdown.bare_scans_pushed
+     << ",\"scan_predicates\":" << plan.pushdown.scan_predicates_pushed
      << ",\"outer_joins\":" << plan.pushdown.outer_joins_pushed
      << ",\"exists\":" << plan.pushdown.exists_pushed
      << ",\"ranges\":" << plan.pushdown.ranges_pushed
@@ -329,10 +334,7 @@ std::string RenderPlanText(const CompiledPlan& plan) {
 std::string RenderPlanSnapshotText(const CompiledPlan& plan) {
   std::ostringstream os;
   os << "query: " << plan.text << "\n";
-  os << "pushdown: " << plan.pushdown.regions_pushed << " region(s), "
-     << plan.pushdown.bare_scans_pushed << " bare scan(s), "
-     << plan.pushdown.outer_joins_pushed << " outer join(s), "
-     << plan.pushdown.custom_filters_pushed << " custom filter(s)\n";
+  RenderPushdownLine(plan.pushdown, os);
   if (!plan.called_functions.empty()) {
     os << "calls:";
     for (const auto& f : plan.called_functions) os << " " << f;

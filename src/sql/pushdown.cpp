@@ -132,6 +132,7 @@ class PushdownPass {
         });
         return st;
       }
+      PushScanPredicates(*e);
     }
     // Filter chains over a table function must be recognized before their
     // children are individually converted (the predicate belongs in the
@@ -1403,10 +1404,49 @@ class PushdownPass {
     if (stats_ != nullptr) ++stats_->custom_filters_pushed;
   }
 
+  // A FLWOR that cannot become one region still ships each table scan's
+  // own predicates: the where clauses directly after `for $v in T()` that
+  // mention no variable but $v join that scan's WHERE, and leave the
+  // FLWOR. (getProfileByID's return calls a web service, so only its
+  // CUSTOMER scan and `CID = ...` reach SQL.)
+  void PushScanPredicates(Expr& flwor) {
+    for (size_t i = 0; i < flwor.clauses.size(); ++i) {
+      Clause& cl = flwor.clauses[i];
+      if (cl.kind != Clause::Kind::kFor || !cl.positional_var.empty()) continue;
+      std::vector<size_t> at;
+      std::vector<ExprPtr> preds;
+      for (size_t j = i + 1; j < flwor.clauses.size() &&
+                             flwor.clauses[j].kind == Clause::Kind::kWhere;
+           ++j) {
+        bool own = true;
+        for (const auto& v : FreeVars(*flwor.clauses[j].expr)) {
+          if (v != cl.var) own = false;
+        }
+        if (!own) continue;
+        at.push_back(j);
+        preds.push_back(flwor.clauses[j].expr);
+      }
+      if (preds.empty()) continue;
+      std::vector<bool> pushed;
+      TryRewriteBareScan(cl.expr, cl.var, preds, &pushed);
+      for (size_t k = pushed.size(); k-- > 0;) {
+        if (pushed[k]) {
+          flwor.clauses.erase(flwor.clauses.begin() +
+                              static_cast<ptrdiff_t>(at[k]));
+        }
+      }
+    }
+  }
+
   // Standalone table scans and filtered scans become SQL directly; the
   // row elements keep the original column names so surrounding
-  // (unrewritten) navigation still works.
-  void TryRewriteBareScan(ExprPtr& e) {
+  // (unrewritten) navigation still works. `where`, when given, holds
+  // predicates over the scan's FLWOR variable `var`: each one that
+  // translates joins the WHERE clause and is flagged in `*pushed`; the
+  // caller keeps the rest.
+  void TryRewriteBareScan(ExprPtr& e, const std::string& var = "",
+                          const std::vector<ExprPtr>& where = {},
+                          std::vector<bool>* pushed = nullptr) {
     std::vector<ExprPtr> filters;
     const ExprPtr& base = PeelFilters(e, &filters);
     const ExternalFunction* fn = AsTableFn(*base);
@@ -1424,22 +1464,44 @@ class PushdownPass {
           {SqlExpr::Column(alias, field.name), field.name});
       spec->columns.push_back({field.name, xsd::AtomizedType(field.type)});
     }
+    auto and_where = [&](SqlExprPtr p) {
+      select->where = select->where
+                          ? SqlExpr::Binary("AND", select->where, std::move(p))
+                          : std::move(p);
+    };
     ctx.aliases.push_back({".", alias, fn->return_type.item});
     for (const auto& f : filters) {
       // Positional predicates cannot be pushed.
       if (xsd::AtomizedType(f->static_type) != AtomicType::kBoolean) return;
       Result<TypedSql> p = Translate(f, ctx);
       if (!p.ok() || !p->ok()) return;
-      select->where = select->where
-                          ? SqlExpr::Binary("AND", select->where, p->sql)
-                          : p->sql;
+      and_where(p->sql);
+    }
+    int predicates = static_cast<int>(filters.size());
+    if (!where.empty()) {
+      ctx.aliases.push_back({var, alias, fn->return_type.item});
+      pushed->assign(where.size(), false);
+    }
+    for (size_t i = 0; i < where.size(); ++i) {
+      size_t params = ctx.params.size();
+      Result<TypedSql> p = Translate(where[i], ctx);
+      if (!p.ok() || !p->ok() || p->type != AtomicType::kBoolean) {
+        ctx.params.resize(params);  // drop what the failed part bound
+        continue;
+      }
+      and_where(p->sql);
+      (*pushed)[i] = true;
+      ++predicates;
     }
     spec->source = ctx.source;
     spec->select = select;
     spec->row_name = fn->return_type.item->name();
     vendor_by_spec_[spec.get()] = ctx.vendor;
     e = xquery::MakeSqlQuery(spec, ctx.params, e->loc);
-    if (stats_ != nullptr) ++stats_->bare_scans_pushed;
+    if (stats_ != nullptr) {
+      ++stats_->bare_scans_pushed;
+      stats_->scan_predicates_pushed += predicates;
+    }
   }
 
   const compiler::FunctionTable* functions_;

@@ -13,6 +13,7 @@ namespace aldsp::sql {
 struct PushdownStats {
   int regions_pushed = 0;      // FLWOR regions replaced by SQL queries
   int bare_scans_pushed = 0;   // standalone table scans / filtered scans
+  int scan_predicates_pushed = 0;  // predicates in those scans' WHERE
   int outer_joins_pushed = 0;  // pattern (c)/(g) LEFT OUTER JOINs
   int exists_pushed = 0;       // pattern (h) quantified expressions
   int ranges_pushed = 0;       // pattern (i) subsequence pagination

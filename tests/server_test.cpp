@@ -177,6 +177,49 @@ declare function tns:byName($n as xs:string) as element(P)* {
   EXPECT_GE(platform_.plan_cache_hits(), 1);
 }
 
+TEST_F(ServerTest, CriteriaOnViewChildReachSqlWhere) {
+  // After view unfolding, a criteria call binds `for $mc_item` to the
+  // view's constructor; as a let, its CID filter reaches the CUSTOMER
+  // scan's WHERE, and the answer matches the unoptimized server's bytes.
+  const char* service = R"(
+(::pragma function kind="read" ::)
+declare function tns:people() as element(P)* {
+  for $c in ns3:CUSTOMER()
+  return <P><CID>{fn:data($c/CID)}</CID>
+    <ORDERS>{ns3:getORDER($c)}</ORDERS></P>
+};)";
+  ASSERT_TRUE(platform_.LoadDataService(service).ok());
+  ServerOptions reference_options;
+  reference_options.enable_optimizer = false;
+  reference_options.enable_pushdown = false;
+  DataServicePlatform reference(reference_options);
+  ASSERT_TRUE(reference
+                  .RegisterRelationalSource(
+                      "ns3",
+                      std::shared_ptr<relational::Database>(
+                          MakeCustomerDb(6, 3).release()),
+                      "oracle")
+                  .ok());
+  ASSERT_TRUE(reference.LoadDataService(service).ok());
+
+  DataServicePlatform::MethodCriteria criteria;
+  criteria.filter_child = "CID";
+  criteria.filter_value = "CUST003";
+  auto got = platform_.CallMethod("tns:people", {}, criteria);
+  auto want = reference.CallMethod("tns:people", {}, criteria);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(got->size(), 1u);
+  EXPECT_EQ(xml::SerializeSequence(*got), xml::SerializeSequence(*want));
+  // The compiled plan's EXPLAIN snapshot shows the keyed SQL.
+  auto history = platform_.plan_history().Snapshot();
+  ASSERT_EQ(history.size(), 1u);
+  ASSERT_EQ(history[0].versions.size(), 1u);
+  const std::string& explain = history[0].versions[0].explain_text;
+  EXPECT_NE(explain.find("WHERE (t1.\"CID\" = 'CUST003')"), std::string::npos)
+      << explain;
+}
+
 TEST_F(ServerTest, FileSourcesIntegrateWithQueries) {
   // Non-queryable sources (paper §2.2): XML and CSV files join against
   // relational data in the same query.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "examples/example_env.h"
 #include "server/server.h"
 #include "sql/dialect.h"
 #include "tests/test_fixtures.h"
@@ -330,6 +331,77 @@ TEST_F(SqlPatternsTest, StatsReportPushes) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ((*plan)->pushdown.regions_pushed, 1);
   EXPECT_EQ((*plan)->pushdown.exists_pushed, 1);
+}
+
+// A scan whose FLWOR cannot become one region (its return calls other
+// sources) still ships its own where clauses.
+TEST_F(SqlPatternsTest, ScanKeepsItsWherePredicates) {
+  const char* query =
+      "for $c in ns3:CUSTOMER() where $c/LAST_NAME eq \"Lee\" "
+      "return <C>{ fn:string-join(($c/FIRST_NAME, $c/LAST_NAME), \" \") }</C>";
+  std::string sql = CompileAndCheck(query);
+  EXPECT_NE(sql.find("WHERE (t1.\"LAST_NAME\" = 'Lee')"), std::string::npos)
+      << sql;
+  auto plan = pushed_.Prepare(query);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->pushdown.regions_pushed, 0);
+  EXPECT_EQ((*plan)->pushdown.bare_scans_pushed, 1);
+  EXPECT_EQ((*plan)->pushdown.scan_predicates_pushed, 1);
+}
+
+// Paper §3.4 / §4.2, Figure 3 at 100 customers: getProfileByID's CID
+// predicate on the view's constructed child reaches the CUSTOMER scan, so
+// a keyed read builds one profile: one statement per table and one
+// rating call. (Building all 100 profiles and then filtering cost 201
+// statements and 100 rating calls.)
+TEST(ProfileByIdTest, KeyedReadBuildsOneProfile) {
+  DataServicePlatform aldsp;
+  std::shared_ptr<relational::Database> customers =
+      examples::MakeCustomerDb(100);
+  std::shared_ptr<relational::Database> billing = examples::MakeBillingDb(100);
+  auto rating = examples::WireRunningExample(aldsp, customers, billing);
+  ASSERT_TRUE(aldsp.LoadDataService(examples::ProfileDataService()).ok());
+  const char* query = "tns:getProfileByID(\"CUST003\")";
+
+  auto plan = aldsp.Prepare(query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<const Expr*> nodes;
+  ExprPtr root = (*plan)->plan;
+  CollectSqlNodes(root, &nodes);
+  int keyed_customer_scans = 0;
+  for (const auto* n : nodes) {
+    auto text = RenderSql(*n->sql->select, SqlDialect::kOracle);
+    ASSERT_TRUE(text.ok());
+    if (text->find("FROM \"CUSTOMER\"") != std::string::npos &&
+        text->find("\"CID\" = 'CUST003'") != std::string::npos) {
+      ++keyed_customer_scans;
+    }
+  }
+  EXPECT_EQ(keyed_customer_scans, 1) << xquery::DebugString(*root);
+
+  customers->stats().Reset();
+  billing->stats().Reset();
+  auto result = aldsp.ExecutePlan(**plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ(customers->stats().statements.load() +
+                billing->stats().statements.load(),
+            3);
+  EXPECT_EQ(rating->invocation_count(), 1);
+
+  // EXPLAIN says what reached SQL: both bare scans carry a predicate.
+  auto explain = aldsp.Explain(query);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->find("pushdown: 0 region(s), 2 bare scan(s), "
+                          "2 scan predicate(s), 0 outer join(s), "
+                          "0 custom filter(s)\n"),
+            std::string::npos)
+      << *explain;
+  auto json = aldsp.ExplainJson(query);
+  ASSERT_TRUE(json.ok());
+  EXPECT_NE(json->find("\"bare_scans\":2,\"scan_predicates\":2"),
+            std::string::npos)
+      << *json;
 }
 
 // ----- Dialect rendering -----------------------------------------------
