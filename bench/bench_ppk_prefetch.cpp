@@ -4,11 +4,15 @@
 // max(round_trip, consumption) instead of their sum. The grid sweeps
 // block size x simulated round-trip latency with a fixed per-item
 // consumption cost in the streaming sink, at the default batch width.
-// Each cell streams kReps alternating baseline/prefetch pairs and
+// Each cell streams kReps rotating rounds of three modes: baseline (no
+// prefetch), prefetch (the classic double buffer, depth 1) and adaptive
+// (depth advised by an ObservedCostModel that one unpinned stream
+// warmed, and that every adaptive stream keeps feeding). Each round
 // records total stream time and time to first row (ttfr); every run is
 // checked byte-identical to the first baseline. BENCH_ppk_prefetch.json
 // gets the median, min and spread (max - min) of each timing, the
-// median of the per-pair speedups, and the nproc/build/commit stamp.
+// median of the per-round speedups over baseline, the advised depth,
+// and the nproc/build/commit stamp.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +26,7 @@
 #include "compiler/analyzer.h"
 #include "optimizer/optimizer.h"
 #include "runtime/evaluator.h"
+#include "runtime/observed_cost.h"
 #include "tests/e2e_fixture.h"
 #include "xml/serializer.h"
 
@@ -65,11 +70,15 @@ struct GridRow {
   int k = 0;
   int64_t roundtrip_us = 0;
   int64_t blocks = 0;
+  int adaptive_depth = 0;  // advised after the warming stream
   bench::RepStats baseline_ms;
   bench::RepStats prefetch_ms;
+  bench::RepStats adaptive_ms;
   bench::RepStats baseline_ttfr_ms;
   bench::RepStats prefetch_ttfr_ms;
-  double speedup = 0;  // median over pairs of baseline / prefetch
+  bench::RepStats adaptive_ttfr_ms;
+  double speedup = 0;           // median over rounds of baseline / prefetch
+  double adaptive_speedup = 0;  // median over rounds of baseline / adaptive
 };
 
 std::vector<GridRow>& Rows() {
@@ -123,45 +132,65 @@ void BM_PPkPrefetch(benchmark::State& state) {
   GridRow row;
   row.k = k;
   row.roundtrip_us = roundtrip;
-  std::vector<double> base_ms, pre_ms, base_ttfr, pre_ttfr, speedups;
+  // Modes: 0 baseline, 1 prefetch at depth 1, 2 adaptive (depth 0 with
+  // the observed-cost model attached).
+  runtime::ObservedCostModel observed;
+  auto set_mode = [&](int mode) {
+    env.ctx.ppk_prefetch = mode != 0;
+    env.ctx.ppk_prefetch_depth = mode == 1 ? 1 : 0;
+    env.ctx.observed = mode == 2 ? &observed : nullptr;
+  };
+  std::vector<double> ms[3], ttfr[3], speedups, adaptive_speedups;
   for (auto _ : state) {
     std::string reference, out;
-    env.ctx.ppk_prefetch = false;
+    set_mode(0);
     env.stats.Reset();
     TimedStream(env, *plan, &reference);  // warm-up, also the reference
     row.blocks = env.stats.ppk_blocks.load();
+    set_mode(2);
+    TimedStream(env, *plan, &out);  // warms the observed-cost model
+    row.adaptive_depth =
+        observed.AdvisePrefetchDepth(env.customer_db->name(), k);
     for (int rep = 0; rep < kReps; ++rep) {
-      StreamTiming pair[2];
-      // Alternate which mode runs first so drift hits both sides.
-      for (int i = 0; i < 2; ++i) {
-        bool prefetch = (i + rep) % 2 == 1;
-        env.ctx.ppk_prefetch = prefetch;
-        pair[prefetch ? 1 : 0] = TimedStream(env, *plan, &out);
-        if (pair[prefetch ? 1 : 0].ms < 0 || out != reference) {
+      StreamTiming round[3];
+      // Rotate which mode runs first so drift hits every side.
+      for (int i = 0; i < 3; ++i) {
+        int mode = (i + rep) % 3;
+        set_mode(mode);
+        round[mode] = TimedStream(env, *plan, &out);
+        if (round[mode].ms < 0 || out != reference) {
           state.SkipWithError("prefetch result differs from baseline");
           return;
         }
       }
-      base_ms.push_back(pair[0].ms);
-      pre_ms.push_back(pair[1].ms);
-      base_ttfr.push_back(pair[0].ttfr_ms);
-      pre_ttfr.push_back(pair[1].ttfr_ms);
-      speedups.push_back(pair[0].ms / pair[1].ms);
+      for (int mode = 0; mode < 3; ++mode) {
+        ms[mode].push_back(round[mode].ms);
+        ttfr[mode].push_back(round[mode].ttfr_ms);
+      }
+      speedups.push_back(round[0].ms / round[1].ms);
+      adaptive_speedups.push_back(round[0].ms / round[2].ms);
     }
   }
-  row.baseline_ms = bench::Summarize(base_ms);
-  row.prefetch_ms = bench::Summarize(pre_ms);
-  row.baseline_ttfr_ms = bench::Summarize(base_ttfr);
-  row.prefetch_ttfr_ms = bench::Summarize(pre_ttfr);
+  row.baseline_ms = bench::Summarize(ms[0]);
+  row.prefetch_ms = bench::Summarize(ms[1]);
+  row.adaptive_ms = bench::Summarize(ms[2]);
+  row.baseline_ttfr_ms = bench::Summarize(ttfr[0]);
+  row.prefetch_ttfr_ms = bench::Summarize(ttfr[1]);
+  row.adaptive_ttfr_ms = bench::Summarize(ttfr[2]);
   row.speedup = bench::Summarize(speedups).median;
+  row.adaptive_speedup = bench::Summarize(adaptive_speedups).median;
   Rows().push_back(row);
   state.counters["k"] = k;
   state.counters["roundtrip_us"] = static_cast<double>(roundtrip);
   state.counters["baseline_ms"] = row.baseline_ms.median;
   state.counters["prefetch_ms"] = row.prefetch_ms.median;
+  state.counters["adaptive_ms"] = row.adaptive_ms.median;
+  state.counters["adaptive_depth"] = row.adaptive_depth;
   state.counters["baseline_ttfr_ms"] = row.baseline_ttfr_ms.median;
   state.counters["prefetch_ttfr_ms"] = row.prefetch_ttfr_ms.median;
+  state.counters["adaptive_ttfr_ms"] = row.adaptive_ttfr_ms.median;
   state.counters["speedup"] = row.speedup;
+  state.counters["adaptive_speedup"] = row.adaptive_speedup;
 }
 
 // Round trips from sub-millisecond to the 5-10ms wide-area range the
@@ -191,18 +220,25 @@ void WriteGrid() {
                static_cast<long long>(kConsumeMicrosPerItem), kReps);
   for (size_t i = 0; i < Rows().size(); ++i) {
     const GridRow& r = Rows()[i];
-    std::fprintf(f, "%s{\"k\":%d,\"roundtrip_us\":%lld,\"blocks\":%lld,",
+    std::fprintf(f,
+                 "%s{\"k\":%d,\"roundtrip_us\":%lld,\"blocks\":%lld,"
+                 "\"adaptive_depth\":%d,",
                  i == 0 ? "" : ",", r.k,
                  static_cast<long long>(r.roundtrip_us),
-                 static_cast<long long>(r.blocks));
+                 static_cast<long long>(r.blocks), r.adaptive_depth);
     PrintStats(f, "baseline_ms", r.baseline_ms);
     std::fputc(',', f);
     PrintStats(f, "prefetch_ms", r.prefetch_ms);
     std::fputc(',', f);
+    PrintStats(f, "adaptive_ms", r.adaptive_ms);
+    std::fputc(',', f);
     PrintStats(f, "baseline_ttfr_ms", r.baseline_ttfr_ms);
     std::fputc(',', f);
     PrintStats(f, "prefetch_ttfr_ms", r.prefetch_ttfr_ms);
-    std::fprintf(f, ",\"speedup\":%.3f}", r.speedup);
+    std::fputc(',', f);
+    PrintStats(f, "adaptive_ttfr_ms", r.adaptive_ttfr_ms);
+    std::fprintf(f, ",\"speedup\":%.3f,\"adaptive_speedup\":%.3f}",
+                 r.speedup, r.adaptive_speedup);
   }
   std::fprintf(f, "]}\n");
   std::fclose(f);

@@ -544,11 +544,15 @@ class Optimizer::Impl {
     return content;
   }
 
-  // fn:data(<E>{x}</E>) -> x when x is atomic-typed single content.
+  // fn:data(<E>{x}</E>) -> x when x is atomic-typed single content that
+  // is never empty: an empty x leaves <E/>, which atomizes to
+  // xs:untypedAtomic(""), not to ().
   bool RuleDataOnCtor(ExprPtr& e) {
     if (!IsDataCall(*e)) return false;
     ExprPtr content = AtomicContent(*e->children[0]);
-    if (content == nullptr) return false;
+    if (content == nullptr || content->static_type.allows_empty()) {
+      return false;
+    }
     e = content;
     return true;
   }

@@ -117,7 +117,9 @@ struct RuntimeContext {
   const AdaptorRegistry* adaptors = nullptr;
   FunctionCache* function_cache = nullptr;   // optional
   RuntimeStats* stats = nullptr;             // optional
-  ObservedCostModel* observed = nullptr;     // optional (§9 roadmap)
+  /// Observed-cost model (optional, §9 roadmap): every completed source
+  /// call feeds it inline (ObserveSourceCall), whatever the trace mode.
+  ObservedCostModel* observed = nullptr;
   /// Server-wide metrics export (optional): per-source latency samples.
   MetricsRegistry* metrics = nullptr;
   /// Per-execution profile (optional). Null for ordinary Execute calls:

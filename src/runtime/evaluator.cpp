@@ -168,37 +168,6 @@ namespace {
 
 Cell AtomicToCell(const AtomicValue& v) { return Cell::Of(v); }
 
-// Circuit-breaker admission gate, consulted before every source
-// interaction. An open breaker rejects immediately (fast SourceError, no
-// round trip, no timeout) — fn-bea:fail-over catches it like any other
-// source failure and takes the alternate.
-Status GateSource(const RuntimeContext& ctx, const std::string& source) {
-  if (ctx.health != nullptr &&
-      !ctx.health->AllowRequest(source, HealthNowMicros())) {
-    return Status::SourceError("circuit breaker open for source '" + source +
-                               "'");
-  }
-  return Status::OK();
-}
-
-void NoteSourceOutcome(const RuntimeContext& ctx, const std::string& source,
-                       bool ok, int64_t micros) {
-  if (ctx.health == nullptr) return;
-  if (ok) {
-    ctx.health->NoteSuccess(source, micros, HealthNowMicros());
-  } else {
-    ctx.health->NoteFailure(source, HealthNowMicros());
-  }
-}
-
-// True when the attached trace will replay its source observations into
-// the observed-cost model at completion (FeedObservedCost): only full
-// and timeline traces keep the event list that replay walks. With a
-// counters-mode trace (or none) observations must be recorded inline.
-bool TraceReplaysObservations(const RuntimeContext& ctx) {
-  return ctx.trace != nullptr && ctx.trace->keeps_events();
-}
-
 class Evaluator {
  public:
   explicit Evaluator(const RuntimeContext& ctx) : ctx_(ctx) {}
@@ -911,36 +880,13 @@ class Evaluator {
     auto t0 = std::chrono::steady_clock::now();
     Result<Sequence> invoked = adaptor->Invoke(fn.name, args);
     int64_t micros = MicrosSince(t0) + VirtualLatencyDelta(db, sim_mark);
-    NoteSourceOutcome(ctx_, fn.Property("source"), invoked.ok(), micros);
+    ObserveSourceCall(ctx_, QueryTrace::EventKind::kSourceInvoke,
+                      fn.Property("source"), db,
+                      fn.is_relational() ? fn.Property("table") : "",
+                      invoked.ok() ? static_cast<int64_t>(invoked->size()) : 0,
+                      micros, invoked.ok(), [&] { return fn.name; });
     if (!invoked.ok()) return invoked.status();
     Sequence result = std::move(invoked).value();
-    if (ctx_.metrics != nullptr) {
-      ctx_.metrics->RecordSourceLatency(fn.Property("source"), micros);
-    }
-    if (ctx_.trace != nullptr) {
-      int64_t roundtrip = -1;
-      int64_t transfer = 0;
-      if (db != nullptr) {
-        SplitSourceMicros(db, static_cast<int64_t>(result.size()), micros,
-                          &roundtrip, &transfer);
-      }
-      ctx_.trace->AddEvent(QueryTrace::EventKind::kSourceInvoke,
-                           fn.Property("source"), fn.name,
-                           static_cast<int64_t>(result.size()), micros,
-                           fn.is_relational() ? fn.Property("table") : "",
-                           roundtrip, transfer);
-    }
-    // A full trace replays its events into the observed-cost model at
-    // completion (FeedObservedCost), so inline recording would double
-    // count; the always-on counters trace keeps no events, so the inline
-    // path must still feed the model.
-    if (!TraceReplaysObservations(ctx_) && ctx_.observed != nullptr &&
-        fn.is_relational()) {
-      ctx_.observed->RecordTableScan(fn.Property("source"),
-                                     fn.Property("table"),
-                                     static_cast<int64_t>(result.size()),
-                                     micros);
-    }
     if (cacheable) {
       ctx_.function_cache->Insert(cache_key, result,
                                   ctx_.function_cache->TtlFor(fn.name));
@@ -977,48 +923,18 @@ class Evaluator {
     Result<relational::ResultSet> executed =
         db->ExecuteSelect(*spec->select, params);
     int64_t micros = MicrosSince(t0) + VirtualLatencyDelta(db, sim_mark);
-    NoteSourceOutcome(ctx_, spec->source, executed.ok(), micros);
-    if (!executed.ok()) return executed.status();
-    relational::ResultSet rs = std::move(executed).value();
     // A bare single-table scan observes the table's cardinality.
     const relational::SelectStmt& s = *spec->select;
     bool bare_scan = s.joins.empty() && s.where == nullptr &&
                      s.group_by.empty() && !s.distinct && s.range_start < 0 &&
                      !s.from.table_name.empty();
-    if (ctx_.metrics != nullptr) {
-      ctx_.metrics->RecordSourceLatency(spec->source, micros);
-    }
-    if (ctx_.trace != nullptr) {
-      int64_t roundtrip = -1;
-      int64_t transfer = 0;
-      SplitSourceMicros(db, static_cast<int64_t>(rs.rows.size()), micros,
-                        &roundtrip, &transfer);
-      ctx_.trace->AddEvent(QueryTrace::EventKind::kSql, spec->source,
-                           relational::DebugString(*spec->select),
-                           static_cast<int64_t>(rs.rows.size()), micros,
-                           bare_scan ? s.from.table_name : "", roundtrip,
-                           transfer);
-    }
-    // Only a full trace replays observations at completion; under the
-    // counters trace (or none) the model is fed inline.
-    if (!TraceReplaysObservations(ctx_) && ctx_.observed != nullptr) {
-      int64_t roundtrip = -1;
-      int64_t transfer = 0;
-      SplitSourceMicros(db, static_cast<int64_t>(rs.rows.size()), micros,
-                        &roundtrip, &transfer);
-      if (roundtrip >= 0) {
-        ctx_.observed->RecordStatementSplit(spec->source, roundtrip, transfer,
-                                            static_cast<int64_t>(
-                                                rs.rows.size()));
-      } else {
-        ctx_.observed->RecordStatement(spec->source, micros);
-      }
-      if (bare_scan) {
-        ctx_.observed->RecordTableScan(spec->source, s.from.table_name,
-                                       static_cast<int64_t>(rs.rows.size()),
-                                       micros);
-      }
-    }
+    ObserveSourceCall(
+        ctx_, QueryTrace::EventKind::kSql, spec->source, db,
+        bare_scan ? s.from.table_name : "",
+        executed.ok() ? static_cast<int64_t>(executed->rows.size()) : 0, micros,
+        executed.ok(), [&] { return relational::DebugString(s); });
+    if (!executed.ok()) return executed.status();
+    relational::ResultSet rs = std::move(executed).value();
     return RowsToItems(rs, spec->row_name);
   }
 
@@ -1051,22 +967,17 @@ class Evaluator {
     auto t0 = std::chrono::steady_clock::now();
     Result<Sequence> invoked = adaptor->InvokeFiltered(*e.custom, params);
     int64_t micros = MicrosSince(t0);
-    NoteSourceOutcome(ctx_, e.custom->source, invoked.ok(), micros);
-    if (!invoked.ok()) return invoked.status();
-    Sequence result = std::move(invoked).value();
-    if (ctx_.metrics != nullptr) {
-      ctx_.metrics->RecordSourceLatency(e.custom->source, micros);
-    }
-    if (ctx_.trace != nullptr) {
-      std::string detail = e.custom->function;
-      for (const auto& c : e.custom->conjuncts) {
-        detail += " [" + c.attribute + " " + c.op + " ?]";
-      }
-      ctx_.trace->AddEvent(QueryTrace::EventKind::kCustomPushdown,
-                           e.custom->source, detail,
-                           static_cast<int64_t>(result.size()), micros);
-    }
-    return result;
+    ObserveSourceCall(ctx_, QueryTrace::EventKind::kCustomPushdown,
+                      e.custom->source, nullptr, "",
+                      invoked.ok() ? static_cast<int64_t>(invoked->size()) : 0,
+                      micros, invoked.ok(), [&] {
+                        std::string detail = e.custom->function;
+                        for (const auto& c : e.custom->conjuncts) {
+                          detail += " [" + c.attribute + " " + c.op + " ?]";
+                        }
+                        return detail;
+                      });
+    return invoked;
   }
 
   // ----- Builtins ---------------------------------------------------------

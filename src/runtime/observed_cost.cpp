@@ -98,6 +98,13 @@ int64_t ObservedCostModel::ObservedRows(const std::string& source,
   return it == tables_.end() ? -1 : it->second.rows;
 }
 
+int64_t ObservedCostModel::ObservedStatements(
+    const std::string& source) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = statements_.find(source);
+  return it == statements_.end() ? 0 : it->second.first;
+}
+
 double ObservedCostModel::ObservedRoundTripMicros(
     const std::string& source) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -150,13 +157,21 @@ int ObservedCostModel::AdvisePPkBlockSize(const std::string& source,
 }
 
 int ObservedCostModel::AdvisePrefetchDepth(const std::string& source,
-                                           int block_rows) const {
+                                           int block_rows,
+                                           std::string* why) const {
   int64_t rtt = RoundTripP50Micros(source);
-  if (rtt <= 0) return 1;
+  if (rtt <= 0) {
+    if (why != nullptr) *why = "cold default";
+    return 1;
+  }
   double per_row = TransferMicrosPerRow(source);
   // Time the consumer spends absorbing one block: per-row transfer plus
   // a floor for mid-tier join work (which we do not observe directly).
   double consume = std::max(per_row > 0 ? per_row * block_rows : 0.0, 200.0);
+  if (why != nullptr) {
+    *why = "advised rtt_p50=" + std::to_string(rtt) + "us consume=" +
+           std::to_string(std::llround(consume)) + "us";
+  }
   int64_t depth = static_cast<int64_t>(
       std::ceil(static_cast<double>(rtt) / consume));
   return static_cast<int>(std::clamp<int64_t>(depth, 1, 8));

@@ -57,6 +57,8 @@ class ObservedCostModel {
   /// Last observed cardinality of a table, or -1 if never observed.
   int64_t ObservedRows(const std::string& source,
                        const std::string& table) const;
+  /// Statements observed from a source (pushed SQL and PP-k fetches).
+  int64_t ObservedStatements(const std::string& source) const;
   /// Running average statement round-trip time for a source (-1 unknown).
   double ObservedRoundTripMicros(const std::string& source) const;
   /// Median fixed round-trip cost from the split histogram (-1 unknown).
@@ -92,8 +94,11 @@ class ObservedCostModel {
   /// with blocks of `block_rows` parameters: roughly round-trip / block
   /// consumption time, so enough fetches are in flight to keep the
   /// consumer from stalling. Clamped to [1, 8]; 1 (the classic double
-  /// buffer) when the source has no split observations yet.
-  int AdvisePrefetchDepth(const std::string& source, int block_rows) const;
+  /// buffer) when the source has no split observations yet. When `why`
+  /// is non-null it receives the inputs behind the answer ("advised
+  /// rtt_p50=..us consume=..us" or "cold default").
+  int AdvisePrefetchDepth(const std::string& source, int block_rows,
+                          std::string* why = nullptr) const;
 
   /// Deterministic summary of the advice-relevant inputs: observed row
   /// counts per (source, table) plus the log2 bucket of each source's

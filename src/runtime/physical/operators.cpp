@@ -782,15 +782,25 @@ class PPkJoinOp final : public JoinOpBase {
  protected:
   Status OpenImpl() override {
     ALDSP_RETURN_NOT_OK(JoinOpBase::OpenImpl());
+    // The span says which depth ran and why (profiles only: the advice
+    // text is formatted only when a span exists).
+    std::string why = "cold default";
     if (!ctx()->ppk_prefetch) {
       depth_ = 0;
+      why = "prefetch off";
     } else if (ctx()->ppk_prefetch_depth > 0) {
       depth_ = std::min(ctx()->ppk_prefetch_depth, 8);
+      why = "pinned";
     } else if (ctx()->observed != nullptr && cl().ppk_fetch != nullptr) {
       depth_ = ctx()->observed->AdvisePrefetchDepth(
-          cl().ppk_fetch->source, std::max(1, cl().ppk_block_size));
+          cl().ppk_fetch->source, std::max(1, cl().ppk_block_size),
+          span() >= 0 ? &why : nullptr);
     } else {
       depth_ = 1;
+    }
+    if (span() >= 0) {
+      trace()->AppendSpanDetail(
+          span(), "depth=" + std::to_string(depth_) + " [" + why + "]");
     }
     if (depth_ > 0) group_.emplace(&WorkerPool::For(ctx()->pool));
     return Status::OK();
@@ -968,38 +978,19 @@ class PPkJoinOp final : public JoinOpBase {
                           ? relational::SqlExpr::Binary(
                                 "AND", select->where, std::move(in_pred))
                           : std::move(in_pred);
-      if (ctx()->health != nullptr &&
-          !ctx()->health->AllowRequest(spec.source, HealthNowMicros())) {
-        return Status::SourceError("circuit breaker open for source '" +
-                                   spec.source + "'");
-      }
+      ALDSP_RETURN_NOT_OK(GateSource(*ctx(), spec.source));
       int64_t sim_mark = VirtualLatencyMark(db);
       auto t0 = std::chrono::steady_clock::now();
       Result<relational::ResultSet> executed =
           db->ExecuteSelect(*select, params);
       int64_t micros = MicrosSince(t0) + VirtualLatencyDelta(db, sim_mark);
-      if (ctx()->health != nullptr) {
-        if (executed.ok()) {
-          ctx()->health->NoteSuccess(spec.source, micros, HealthNowMicros());
-        } else {
-          ctx()->health->NoteFailure(spec.source, HealthNowMicros());
-        }
-      }
+      ObserveSourceCall(
+          *ctx(), QueryTrace::EventKind::kPPkFetch, spec.source, db, "",
+          executed.ok() ? static_cast<int64_t>(executed->rows.size()) : 0,
+          micros, executed.ok(),
+          [&] { return relational::DebugString(*select); });
       if (!executed.ok()) return executed.status();
       relational::ResultSet rs = std::move(executed).value();
-      if (ctx()->metrics != nullptr) {
-        ctx()->metrics->RecordSourceLatency(spec.source, micros);
-      }
-      if (trace() != nullptr) {
-        int64_t roundtrip = -1;
-        int64_t transfer = 0;
-        SplitSourceMicros(db, static_cast<int64_t>(rs.rows.size()), micros,
-                          &roundtrip, &transfer);
-        trace()->AddEvent(QueryTrace::EventKind::kPPkFetch, spec.source,
-                          relational::DebugString(*select),
-                          static_cast<int64_t>(rs.rows.size()), micros, "",
-                          roundtrip, transfer);
-      }
       result.fetched = RowsToItems(rs, spec.row_name);
     }
 
@@ -1864,7 +1855,8 @@ std::unique_ptr<PhysicalOperator> BuildPlan(const Expr& flwor,
         std::string label = std::string("join[") + xquery::JoinMethodName(m) +
                             "] $" + cl.var;
         // The span detail is a compatibility surface (profiles assert
-        // exactly "k=20"); EXPLAIN-only qualifiers go in explain().detail.
+        // exactly "k=20", to which PP-k appends its prefetch depth at
+        // Open); EXPLAIN-only qualifiers go in explain().detail.
         std::string span_detail;
         if (ppk) {
           span_detail = "k=" + std::to_string(std::max(1, cl.ppk_block_size));

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/observed_cost.h"
-
 namespace aldsp::runtime {
 
 namespace {
@@ -126,6 +124,13 @@ void QueryTrace::AddSpanBytes(int id, int64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (id < 0 || id >= static_cast<int>(spans_.size())) return;
   if (bytes > spans_[id].bytes) spans_[id].bytes = bytes;
+}
+
+void QueryTrace::AppendSpanDetail(int id, const std::string& text) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (id < 0 || id >= static_cast<int>(spans_.size())) return;
+  std::string& detail = spans_[id].detail;
+  detail += detail.empty() ? text : " " + text;
 }
 
 void QueryTrace::SetSpanQueueMicros(int id, int64_t micros) {
@@ -313,34 +318,6 @@ observability::Timeline QueryTrace::BuildTimeline() const {
                           0);
   }
   return timeline;
-}
-
-void QueryTrace::FeedObservedCost(ObservedCostModel* model) const {
-  if (model == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Event& e : events_) {
-    switch (e.kind) {
-      case EventKind::kSql:
-      case EventKind::kPPkFetch:
-        if (e.roundtrip_micros >= 0) {
-          model->RecordStatementSplit(e.source, e.roundtrip_micros,
-                                      e.transfer_micros, e.rows);
-        } else {
-          model->RecordStatement(e.source, e.micros);
-        }
-        if (!e.table.empty()) {
-          model->RecordTableScan(e.source, e.table, e.rows, e.micros);
-        }
-        break;
-      case EventKind::kSourceInvoke:
-        if (!e.table.empty()) {
-          model->RecordTableScan(e.source, e.table, e.rows, e.micros);
-        }
-        break;
-      default:
-        break;
-    }
-  }
 }
 
 }  // namespace aldsp::runtime

@@ -15,8 +15,6 @@
 
 namespace aldsp::runtime {
 
-class ObservedCostModel;
-
 /// Per-execution profile of one query run (the paper's §9 "instrumenting
 /// the system" roadmap item, and the observability counterpart of the
 /// §4.1 query-plan view). A trace records
@@ -139,6 +137,9 @@ class QueryTrace {
   void AddSpanMetrics(int id, int64_t rows, int64_t micros);
   /// Raises the span's materialized-bytes high-water mark.
   void AddSpanBytes(int id, int64_t bytes);
+  /// Appends `text` to the span's detail (a choice made after the span
+  /// opened, e.g. the PP-k prefetch depth).
+  void AppendSpanDetail(int id, const std::string& text);
   /// Records how long a pool-task span sat queued before running.
   void SetSpanQueueMicros(int id, int64_t micros);
   /// Records when a span produced its first and most recent row
@@ -182,13 +183,6 @@ class QueryTrace {
   /// Traces without timestamps degrade gracefully: spans land at ts 0
   /// with their cumulative micros as duration.
   observability::Timeline BuildTimeline() const;
-
-  /// Replays the trace's source observations into the observed-cost
-  /// model: SQL statements feed round-trip averages, and events that
-  /// observed a full table scan feed cardinalities. This closes the §9
-  /// observe -> optimize loop without any manual Record* calls: the next
-  /// compilation of the same query consults these values.
-  void FeedObservedCost(ObservedCostModel* model) const;
 
   /// RAII parent marker for the calling thread. Pass the span id that
   /// nested spans and events should attach to; -1 re-establishes the

@@ -428,8 +428,6 @@ Status DataServicePlatform::RunExecution(
   }
 
   ctl->SetPhase(observability::QueryPhase::kFinishing);
-  // Even a failed run made real source observations worth keeping.
-  if (trace->keeps_events()) trace->FeedObservedCost(&observed_);
   record.trace = trace.get();
   record.peak_bytes = ctl->peak_bytes.load(std::memory_order_relaxed);
   FinishObservation(record);

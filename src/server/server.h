@@ -300,10 +300,11 @@ class DataServicePlatform {
 
   /// Executes under a timeline QueryTrace with a root `query` span:
   /// every operator instance gets a span (rows, micros, bytes) and every
-  /// source interaction an event. The completed trace feeds the
-  /// observed-cost model, closing the §9 observe -> optimize loop.
-  /// Ordinary Execute runs under a counters-mode trace instead, which
-  /// feeds the always-on plane but keeps no spans or events.
+  /// source interaction an event. Ordinary Execute runs under a
+  /// counters-mode trace instead, which feeds the always-on plane but
+  /// keeps no spans or events. Either way each source call feeds the
+  /// observed-cost model as it completes (the §9 observe -> optimize
+  /// loop).
   Result<ProfiledExecution> ExecuteProfiled(const std::string& query);
 
   /// Runs `query` under a timeline trace and renders it as Chrome

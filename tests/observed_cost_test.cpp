@@ -137,8 +137,8 @@ TEST(ObservedCostIntegrationTest, ProfiledRunsAloneDriveAdaptation) {
             800);
   EXPECT_EQ(platform.observed_cost().ObservedRows("billing_db", "CREDIT_CARD"),
             21);
-  // Each profiled scan was fed exactly once (trace replay only — the
-  // evaluator must not also record inline while a trace is attached).
+  // Each profiled scan was fed exactly once: the source call records
+  // its observation inline, and nothing replays the trace afterwards.
   EXPECT_EQ(
       platform.observed_cost().TableStats("customer_db", "CUSTOMER").scans, 1);
 
@@ -153,6 +153,50 @@ TEST(ObservedCostIntegrationTest, ProfiledRunsAloneDriveAdaptation) {
   auto r = platform.ExecutePlan(**warm);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 21u);
+}
+
+TEST(ObservedCostIntegrationTest, UnprofiledRunsFeedThePPkSource) {
+  // A PP-k-only source is observed by plain runs too: one Execute and one
+  // ExecuteStream (always-on counters trace, no event list) feed every
+  // block fetch into the model, so the next PP-k join can size its
+  // prefetch pipeline without any profiling.
+  DataServicePlatform platform;
+  auto db1 =
+      std::shared_ptr<relational::Database>(MakeCustomerDb(800, 0).release());
+  auto db2 = std::shared_ptr<relational::Database>(
+      aldsp::testing::MakeCreditCardDb(40).release());
+  relational::LatencyModel lm;
+  lm.roundtrip_micros = 500;
+  lm.sleep = false;  // virtual time: the split still sees the round trip
+  db2->latency_model() = lm;
+  ASSERT_TRUE(platform.RegisterRelationalSource("ns3", db1, "oracle").ok());
+  ASSERT_TRUE(platform.RegisterRelationalSource("ns2", db2, "oracle").ok());
+  const ObservedCostModel& model = platform.observed_cost();
+  EXPECT_EQ(model.RoundTripP50Micros("billing_db"), -1);
+
+  ASSERT_TRUE(platform.Execute(kCrossJoin).ok());
+  int64_t streamed = 0;
+  ASSERT_TRUE(platform
+                  .ExecuteStream(kCrossJoin,
+                                 [&](const xml::Item&) {
+                                   ++streamed;
+                                   return Status::OK();
+                                 })
+                  .ok());
+  EXPECT_EQ(streamed, 21);
+  EXPECT_GT(model.RoundTripP50Micros("billing_db"), 0);
+  // One statement per PP-k block: 800 outer rows / k=20, twice.
+  const int64_t blocks = platform.stats().ppk_blocks.load();
+  EXPECT_EQ(blocks, 80);
+  EXPECT_EQ(model.ObservedStatements("billing_db"), blocks);
+  EXPECT_GT(model.AdvisePrefetchDepth("billing_db", 20), 1);
+
+  // A profiled run feeds each fetch and each scan exactly once too.
+  auto prof = platform.ExecuteProfiled(kCrossJoin);
+  ASSERT_TRUE(prof.ok()) << prof.status().ToString();
+  EXPECT_EQ(platform.stats().ppk_blocks.load(), 120);
+  EXPECT_EQ(model.ObservedStatements("billing_db"), 120);
+  EXPECT_EQ(model.TableStats("customer_db", "CUSTOMER").scans, 3);
 }
 
 TEST(ObservedCostIntegrationTest, AdaptsBlockSizeToSelectiveOuter) {

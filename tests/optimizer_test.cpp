@@ -486,5 +486,43 @@ declare function tns:orders() as element(O)* {
   EXPECT_FALSE(ExpectPushedEquivalent(env, "tns:days()[DAYS eq 1000172800]"));
 }
 
+// fn:data(<N>{x}</N>) is x only when x is never empty: a NULL column
+// leaves <N/>, which atomizes to xs:untypedAtomic(""), not to (). Each
+// context that can tell the two apart gives the naive plan's bytes.
+TEST(OptimizerTest, DataOnCtorKeepsOptionalContent) {
+  RunningExample env(4, 0);
+  ASSERT_TRUE(env.customer_db
+                  ->InsertRow("CUSTOMER", {relational::Cell::Str("CUST900"),
+                                           relational::Cell::Str("Zed"),
+                                           relational::Cell::Null(),
+                                           relational::Cell::Str("SSN-900"),
+                                           relational::Cell::Int(1000000000)})
+                  .ok());
+  const char* queries[] = {
+      // Counting: the NULL row still contributes one item.
+      "fn:count(for $c in ns3:CUSTOMER() "
+      "return fn:data(<L>{fn:data($c/LAST_NAME)}</L>))",
+      // Comparing: "" eq "" holds for the NULL row only.
+      "for $c in ns3:CUSTOMER() "
+      "where fn:data(<L>{fn:data($c/LAST_NAME)}</L>) eq \"\" "
+      "return fn:data($c/CID)",
+      // Constructed content: the empty string still takes a separator.
+      "for $c in ns3:CUSTOMER() "
+      "return <R>{fn:data(<L>{fn:data($c/LAST_NAME)}</L>), \"x\"}</R>",
+      // Never-empty content is still reduced, and must agree too.
+      "fn:count(for $c in ns3:CUSTOMER() "
+      "return fn:data(<C>{fn:data($c/CID)}</C>))",
+  };
+  for (const char* q : queries) {
+    ExpectEquivalent(env, q);
+    ExpectPushedEquivalent(env, q);
+  }
+  // The reduction itself still fires on exactly-one content.
+  ExprPtr reduced = OptimizedExpr(
+      env, "for $c in ns3:CUSTOMER() return fn:data(<C>{fn:data($c/CID)}</C>)");
+  EXPECT_EQ(xquery::DebugString(*reduced).find("<C>"), std::string::npos)
+      << xquery::DebugString(*reduced);
+}
+
 }  // namespace
 }  // namespace aldsp::optimizer

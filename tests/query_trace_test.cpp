@@ -79,7 +79,8 @@ TEST_F(CrossJoinProfileTest, EveryOperatorGetsAFinishedSpan) {
   }
 
   // One span per pipeline operator: the FLWOR itself, the outer scan,
-  // and the PP-k join chosen by the optimizer (default k=20).
+  // and the PP-k join chosen by the optimizer (default k=20), whose
+  // prefetch depth is the cold default: billing_db was never observed.
   const QueryTrace::Span* flwor = FindSpan(spans, "flwor");
   ASSERT_NE(flwor, nullptr);
   EXPECT_EQ(flwor->rows, 21);
@@ -89,7 +90,7 @@ TEST_F(CrossJoinProfileTest, EveryOperatorGetsAFinishedSpan) {
   EXPECT_EQ(outer->parent, flwor->id);
   const QueryTrace::Span* join = FindSpan(spans, "join[ppk-inl] $cc");
   ASSERT_NE(join, nullptr);
-  EXPECT_EQ(join->detail, "k=20");
+  EXPECT_EQ(join->detail, "k=20 depth=1 [cold default]");
   EXPECT_EQ(join->rows, 21);
   EXPECT_EQ(join->parent, flwor->id);
   // The PP-k join materializes fetched blocks: bytes must be attributed.
@@ -192,12 +193,49 @@ TEST_F(CrossJoinProfileTest, CompletedTraceFeedsObservedCost) {
             800);
   EXPECT_EQ(platform.observed_cost().ObservedRows("billing_db", "CREDIT_CARD"),
             21);
-  // Fed exactly once per run: the evaluator must not also record inline
-  // while a trace is attached (that would double-count every scan).
+  // Fed exactly once per run: each source call records its observation
+  // inline, whatever the trace mode, and nothing replays the trace.
   EXPECT_EQ(platform.observed_cost().TableStats("customer_db", "CUSTOMER").scans,
             1);
   EXPECT_GT(platform.observed_cost().ObservedRoundTripMicros("customer_db"),
             -1);
+}
+
+TEST_F(CrossJoinProfileTest, JoinSpanSaysWhichPrefetchDepthRanAndWhy) {
+  // A 2 ms slept round trip on the PP-k source: the first run has no
+  // observation of billing_db and starts at the cold default; its fetches
+  // feed the model, so the second run's depth is advised from them.
+  relational::LatencyModel lm;
+  lm.roundtrip_micros = 2000;
+  lm.sleep = true;
+  billing_db->latency_model() = lm;
+  auto join_detail = [&] {
+    auto prof = platform.ExecuteProfiled(kCrossJoin);
+    EXPECT_TRUE(prof.ok()) << prof.status().ToString();
+    if (!prof.ok()) return std::string();
+    auto spans = prof->trace->spans();
+    const QueryTrace::Span* join = FindSpan(spans, "join[ppk-inl] $cc");
+    EXPECT_NE(join, nullptr);
+    std::string json = server::RenderProfileJson(*prof->plan, *prof->trace);
+    std::string text = server::RenderProfileText(*prof->plan, *prof->trace);
+    if (join == nullptr) return std::string();
+    EXPECT_TRUE(Contains(json, join->detail)) << json;
+    EXPECT_TRUE(Contains(text, join->detail)) << text;
+    return join->detail;
+  };
+  EXPECT_EQ(join_detail(), "k=20 depth=1 [cold default]");
+  std::string warm = join_detail();
+  EXPECT_TRUE(Contains(warm, "[advised rtt_p50=")) << warm;
+  EXPECT_TRUE(Contains(warm, "us consume=")) << warm;
+  const std::string prefix = "k=20 depth=";
+  ASSERT_EQ(warm.rfind(prefix, 0), 0u) << warm;
+  EXPECT_GT(std::stoi(warm.substr(prefix.size())), 1) << warm;
+
+  // A pinned depth and prefetch turned off say so.
+  platform.runtime_context().ppk_prefetch_depth = 3;
+  EXPECT_EQ(join_detail(), "k=20 depth=3 [pinned]");
+  platform.runtime_context().ppk_prefetch = false;
+  EXPECT_EQ(join_detail(), "k=20 depth=0 [prefetch off]");
 }
 
 TEST_F(CrossJoinProfileTest, MetricsSnapshotExportsCountersAndHistograms) {
