@@ -222,8 +222,9 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # The TSan gate covers the suites that exercise the worker pool, the
 # PP-k prefetcher (including streams stopped with fetches in flight),
 # the timeline trace's worker lanes, the observability plane's
-# lock-free audit ring, and the observed-cost model that PP-k prefetch
-# tasks feed from pool threads mid-query (the shared-state paths).
+# lock-free audit ring, the observed-cost model that PP-k prefetch
+# tasks feed from pool threads mid-query, and the server's plan and
+# view-plan caches under concurrent compiles (the shared-state paths).
 # query_trace_test is excluded: its timeout
 # test deliberately abandons an evaluation past the end of the test
 # body, which is the documented fn-bea:timeout contract, not a data
@@ -237,8 +238,8 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   --target physical_parity_test parallel_exec_test worker_pool_test \
   join_methods_test observability_test insight_plane_test \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
-  timeline_trace_test observed_cost_test
+  timeline_trace_test observed_cost_test server_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|timeline_trace_test|observed_cost_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|timeline_trace_test|observed_cost_test|server_test)$'
 
 echo "== all checks passed =="

@@ -16,10 +16,6 @@ int64_t NowMicros() {
       .count();
 }
 
-int64_t LastSeen(const StatementHistory& s) {
-  return s.versions.empty() ? 0 : s.versions.back().last_seen_micros;
-}
-
 }  // namespace
 
 const char* CompileTriggerName(CompileTrigger t) {
@@ -34,41 +30,47 @@ const char* CompileTriggerName(CompileTrigger t) {
   return "unknown";
 }
 
+// Returns the statement marked most recently seen, creating it when new.
+// On overflow the statement that has gone longest without a compile or an
+// execution is evicted — lifecycle history is only useful for live
+// statements.
 StatementHistory* PlanHistory::FindOrCreateLocked(
     uint64_t statement_fp, const std::string& query_head) {
-  auto it = statements_.find(statement_fp);
-  if (it != statements_.end()) return &it->second;
-  if (statements_.size() >= options_.max_statements) {
-    // Evict the statement that has gone longest without a compile or an
-    // execution — lifecycle history is only useful for live statements.
-    auto victim = statements_.begin();
-    for (auto jt = statements_.begin(); jt != statements_.end(); ++jt) {
-      if (LastSeen(jt->second) < LastSeen(victim->second)) victim = jt;
-    }
-    statements_.erase(victim);
-    ++statement_evictions_;
-  }
+  if (StatementHistory* s = statements_.Touch(statement_fp)) return s;
+  statement_evictions_ +=
+      static_cast<int64_t>(statements_.MakeRoom(options_.max_statements));
   StatementHistory fresh;
   fresh.statement_fingerprint = statement_fp;
   fresh.query_head = query_head;
-  return &statements_.emplace(statement_fp, std::move(fresh)).first->second;
+  return &statements_.Put(statement_fp, std::move(fresh));
 }
 
 void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
                                 const std::string& query_head,
                                 const std::string& advice_snapshot,
                                 const std::string& explain_text) {
+  RecordCompile(statement_fp, plan_fp, query_head, advice_snapshot,
+                [explain_text] { return explain_text; });
+}
+
+void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
+                                const std::string& query_head,
+                                const std::string& advice_snapshot,
+                                ExplainRenderer render_explain) {
   const int64_t now = NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   StatementHistory* s = FindOrCreateLocked(statement_fp, query_head);
   if (!s->versions.empty() &&
       s->versions.back().plan_fingerprint == plan_fp) {
     // Recompile landed on the same shape (e.g. eviction with unchanged
-    // advice): touch the version, no transition.
+    // advice): touch the version, no transition. Its advice and EXPLAIN
+    // now describe this compile, and the version holds the plan the plan
+    // cache holds rather than keeping an older one alive.
     PlanVersion& latest = s->versions.back();
     ++latest.compiles;
     latest.last_seen_micros = now;
     latest.advice_snapshot = advice_snapshot;
+    latest.render_explain = std::move(render_explain);
     return;
   }
   PlanVersion v;
@@ -76,7 +78,7 @@ void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
   v.first_seen_micros = now;
   v.last_seen_micros = now;
   v.advice_snapshot = advice_snapshot;
-  v.explain_text = explain_text;
+  v.render_explain = std::move(render_explain);
   if (s->versions.empty()) {
     v.trigger = CompileTrigger::kColdCompile;
   } else {
@@ -98,10 +100,10 @@ void PlanHistory::RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
 std::optional<PlanRegressionEvent> PlanHistory::RecordExecution(
     uint64_t statement_fp, uint64_t plan_fp, int64_t wall_micros) {
   const int64_t now = NowMicros();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = statements_.find(statement_fp);
-  if (it == statements_.end()) return std::nullopt;
-  StatementHistory& s = it->second;
+  std::unique_lock<std::mutex> lock(mu_);
+  StatementHistory* found = statements_.Peek(statement_fp);
+  if (found == nullptr) return std::nullopt;
+  StatementHistory& s = *found;
   // Executions almost always run the latest version; search from the back
   // (an older version can still drain during a concurrent flip).
   PlanVersion* v = nullptr;
@@ -115,6 +117,8 @@ std::optional<PlanRegressionEvent> PlanHistory::RecordExecution(
   ++v->calls;
   v->last_seen_micros = now;
   v->wall.Record(wall_micros);
+  // A statement's last-seen time is its latest version's.
+  if (v == &s.versions.back()) statements_.Touch(statement_fp);
 
   // Sentinel: only the latest version is compared, against its immediate
   // predecessor, and it fires at most once per version.
@@ -153,8 +157,11 @@ std::optional<PlanRegressionEvent> PlanHistory::RecordExecution(
   ev.regressed_p95_micros = latest.wall.P95UpperMicros();
   ev.baseline_p95_micros = prior.wall.P95UpperMicros();
   ev.ratio = worst;
-  ev.regressed_explain = latest.explain_text;
-  ev.baseline_explain = prior.explain_text;
+  ExplainRenderer regressed = latest.render_explain;
+  ExplainRenderer baseline = prior.render_explain;
+  lock.unlock();
+  ev.regressed_explain = regressed();
+  ev.baseline_explain = baseline();
   return ev;
 }
 
@@ -169,20 +176,21 @@ int64_t PlanHistory::PublishRegression(PlanRegressionEvent event) {
   return seq;
 }
 
-std::optional<StatementHistory> PlanHistory::Statement(
+std::optional<StatementHistory> PlanHistory::Copy(
     uint64_t statement_fp) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = statements_.find(statement_fp);
-  if (it == statements_.end()) return std::nullopt;
-  return it->second;
+  const StatementHistory* s = statements_.Peek(statement_fp);
+  if (s == nullptr) return std::nullopt;
+  return *s;
 }
 
-std::vector<StatementHistory> PlanHistory::Snapshot() const {
+std::vector<StatementHistory> PlanHistory::CopyAll() const {
   std::vector<StatementHistory> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.reserve(statements_.size());
-    for (const auto& [fp, s] : statements_) out.push_back(s);
+    statements_.ForEach(
+        [&](uint64_t, const StatementHistory& s) { out.push_back(s); });
   }
   std::sort(out.begin(), out.end(),
             [](const StatementHistory& a, const StatementHistory& b) {
@@ -191,6 +199,31 @@ std::vector<StatementHistory> PlanHistory::Snapshot() const {
               }
               return a.statement_fingerprint < b.statement_fingerprint;
             });
+  return out;
+}
+
+namespace {
+
+// Rendering happens on the copies, outside the history's lock: the
+// renderers only read immutable compiled plans.
+void RenderExplains(StatementHistory* s) {
+  for (auto& v : s->versions) {
+    if (v.render_explain) v.explain_text = v.render_explain();
+  }
+}
+
+}  // namespace
+
+std::optional<StatementHistory> PlanHistory::Statement(
+    uint64_t statement_fp) const {
+  std::optional<StatementHistory> s = Copy(statement_fp);
+  if (s.has_value()) RenderExplains(&*s);
+  return s;
+}
+
+std::vector<StatementHistory> PlanHistory::Snapshot() const {
+  std::vector<StatementHistory> out = CopyAll();
+  for (auto& s : out) RenderExplains(&s);
   return out;
 }
 
@@ -288,8 +321,9 @@ void AppendStatementJson(std::string* out, const StatementHistory& s) {
 }  // namespace
 
 std::string PlanHistory::RenderHistoryText(uint64_t statement_fp) const {
+  // The text form carries no EXPLAIN, so nothing is rendered.
   if (statement_fp != 0) {
-    auto s = Statement(statement_fp);
+    auto s = Copy(statement_fp);
     if (!s.has_value()) {
       return "plan history: statement " + std::to_string(statement_fp) +
              " not tracked\n";
@@ -298,7 +332,7 @@ std::string PlanHistory::RenderHistoryText(uint64_t statement_fp) const {
     AppendStatementText(&out, *s);
     return out;
   }
-  auto all = Snapshot();
+  auto all = CopyAll();
   std::string out =
       "plan history (" + std::to_string(all.size()) + " statements)\n";
   for (const auto& s : all) AppendStatementText(&out, s);

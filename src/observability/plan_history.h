@@ -3,12 +3,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_map.h"
 #include "observability/histogram.h"
 
 namespace aldsp::observability {
@@ -23,10 +24,16 @@ enum class CompileTrigger : int {
 
 const char* CompileTriggerName(CompileTrigger t);
 
+/// Renders a plan version's EXPLAIN snapshot. The server passes a closure
+/// over the compiled plan, so this library needs no EXPLAIN renderer and
+/// a compile pays nothing for a snapshot nobody reads.
+using ExplainRenderer = std::function<std::string()>;
+
 /// One plan version of a statement: the plan fingerprint the optimizer
 /// produced, why it was produced, when it was active, and the latency
-/// baseline accumulated while it ran. The EXPLAIN snapshot is retained
-/// so a regression report can show what actually changed.
+/// baseline accumulated while it ran. The version keeps a renderer for
+/// its EXPLAIN snapshot so a regression report can show what actually
+/// changed; the text is rendered only when the version is read.
 struct PlanVersion {
   uint64_t plan_fingerprint = 0;
   CompileTrigger trigger = CompileTrigger::kColdCompile;
@@ -36,8 +43,10 @@ struct PlanVersion {
   int64_t calls = 0;              // executions recorded against it
   LatencyHistogram wall;          // per-version latency baseline
   std::string advice_snapshot;    // discretized cost-model inputs at compile
-  std::string explain_text;       // rendered EXPLAIN at compile time
-  bool regressed = false;         // sentinel already fired for this version
+  ExplainRenderer render_explain;  // the compiled plan's EXPLAIN snapshot
+  std::string explain_text;  // filled from render_explain by Statement()
+                             // and Snapshot(); empty inside the history
+  bool regressed = false;    // sentinel already fired for this version
 };
 
 /// Bounded, oldest-first ring of plan versions for one statement.
@@ -103,7 +112,13 @@ class PlanHistory {
   /// known statement with a new plan fingerprint -> cost-model-advice
   /// change when `advice_snapshot` differs from the previous version's,
   /// cache eviction otherwise. A recompile landing on the latest
-  /// version's fingerprint only touches that version.
+  /// version's fingerprint only touches that version, which takes this
+  /// compile's advice snapshot and EXPLAIN renderer.
+  void RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
+                     const std::string& query_head,
+                     const std::string& advice_snapshot,
+                     ExplainRenderer render_explain);
+  /// As above, with an already rendered EXPLAIN snapshot.
   void RecordCompile(uint64_t statement_fp, uint64_t plan_fp,
                      const std::string& query_head,
                      const std::string& advice_snapshot,
@@ -123,6 +138,8 @@ class PlanHistory {
   /// its sequence number. Returns the assigned sequence.
   int64_t PublishRegression(PlanRegressionEvent event);
 
+  /// Copies of tracked statements with every version's explain_text
+  /// rendered.
   std::optional<StatementHistory> Statement(uint64_t statement_fp) const;
   /// All tracked statements, ordered by descending plan_changes then
   /// statement fingerprint (the statements that flip most float up).
@@ -145,10 +162,17 @@ class PlanHistory {
  private:
   StatementHistory* FindOrCreateLocked(uint64_t statement_fp,
                                        const std::string& query_head);
+  /// Copies with explain_text left unrendered; CopyAll sorts as
+  /// Snapshot() documents.
+  std::optional<StatementHistory> Copy(uint64_t statement_fp) const;
+  std::vector<StatementHistory> CopyAll() const;
 
   const PlanHistoryOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, StatementHistory> statements_;
+  /// Recency order is "last seen": a compile, or an execution of the
+  /// latest version, marks the statement recent; overflow evicts the
+  /// statement seen least recently.
+  LruMap<uint64_t, StatementHistory> statements_;
   std::deque<PlanRegressionEvent> regressions_;
   int64_t statement_evictions_ = 0;
   int64_t plan_changes_total_ = 0;

@@ -25,31 +25,35 @@ using xsd::XType;
 // ----- ViewPlanCache -------------------------------------------------------
 
 xquery::ExprPtr ViewPlanCache::Get(const std::string& function) {
-  auto it = entries_.find(function);
-  if (it == entries_.end()) {
+  ExprPtr body;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (const ExprPtr* cached = entries_.Touch(function)) body = *cached;
+  }
+  if (body == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  lru_.remove(function);
-  lru_.push_front(function);
-  return CloneExpr(it->second);
+  // Cached bodies are never mutated, only replaced, so the clone can be
+  // taken outside the lock.
+  return CloneExpr(body);
 }
 
 void ViewPlanCache::Put(const std::string& function, xquery::ExprPtr body) {
-  if (entries_.count(function) == 0) {
-    while (entries_.size() >= max_entries_ && !lru_.empty()) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(function);
-  }
-  entries_[function] = std::move(body);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (entries_.Peek(function) == nullptr) entries_.MakeRoom(max_entries_);
+  entries_.Put(function, std::move(body));
 }
 
 void ViewPlanCache::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  lru_.clear();
+}
+
+size_t ViewPlanCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 // ----- Optimizer -----------------------------------------------------------
@@ -104,22 +108,28 @@ class Optimizer::Impl {
     if (hints.count("no_pushdown_joins") > 0) options->introduce_joins = false;
   }
 
-  Status Optimize(ExprPtr& root,
-                  const std::vector<compiler::VarBinding>& env) {
-    for (int pass = 0; pass < options_.max_passes; ++pass) {
-      bool changed = false;
+  // Runs inline + rule passes until one changes nothing or max_passes is
+  // spent. `root` arrives analyzed, and every pass that changes the tree
+  // re-analyzes it at its end, so re-analysis between inlining and the
+  // rules is needed only when inlining spliced in a view body.
+  Status Optimize(ExprPtr& root, const std::vector<compiler::VarBinding>& env,
+                  OptimizeStats* stats) {
+    bool changed = true;
+    int pass = 0;
+    while (changed && pass < options_.max_passes) {
+      ++pass;
+      changed = false;
       if (options_.inline_views) {
-        ALDSP_ASSIGN_OR_RETURN(bool c, InlinePass(root, 0));
-        changed |= c;
+        ALDSP_ASSIGN_OR_RETURN(changed, InlinePass(root, 0));
+        if (changed) ALDSP_RETURN_NOT_OK(Reanalyze(root, env));
       }
-      ALDSP_RETURN_NOT_OK(Reanalyze(root, env));
-      ALDSP_ASSIGN_OR_RETURN(bool c2, RulesPass(root));
-      changed |= c2;
-      if (changed) {
-        ALDSP_RETURN_NOT_OK(Reanalyze(root, env));
-      } else {
-        break;
-      }
+      ALDSP_ASSIGN_OR_RETURN(bool rules_changed, RulesPass(root));
+      changed |= rules_changed;
+      if (changed) ALDSP_RETURN_NOT_OK(Reanalyze(root, env));
+    }
+    if (stats != nullptr) {
+      stats->passes = pass;
+      stats->converged = !changed;
     }
     // Post-pass annotations, outside the fixpoint loop: they decorate
     // clauses for the physical planner (observed cardinalities, parallel
@@ -153,7 +163,7 @@ class Optimizer::Impl {
     ApplyHints(fn->hints, &view_options);
     Impl sub(functions_, schemas_, view_cache_, view_options, in_progress_,
              rename_serial_);
-    Status st = sub.Optimize(body, env);
+    Status st = sub.Optimize(body, env, nullptr);
     in_progress_->erase(function);
     ALDSP_RETURN_NOT_OK(st);
     if (view_cache_ != nullptr) view_cache_->Put(function, CloneExpr(body));
@@ -1019,7 +1029,10 @@ class Optimizer::Impl {
   }
 
   // Moves where clauses to the earliest position where their variables
-  // are bound (paper §4.3: clauses locally reordered).
+  // are bound (paper §4.3: clauses locally reordered). Where clauses keep
+  // their relative order: the insertion point skips past earlier where
+  // clauses, so a move always crosses a binder and the rule reaches a
+  // fixpoint instead of swapping two filters back and forth every pass.
   bool RulePlaceWhere(ExprPtr& e) {
     for (size_t i = 0; i < e->clauses.size(); ++i) {
       if (e->clauses[i].kind != Clause::Kind::kWhere) continue;
@@ -1048,6 +1061,9 @@ class Optimizer::Impl {
             break;
         }
         if (binds_needed) earliest = j + 1;
+      }
+      while (earliest < i && e->clauses[earliest].kind == Clause::Kind::kWhere) {
+        ++earliest;
       }
       if (earliest < i) {
         Clause moved = std::move(e->clauses[i]);
@@ -1496,7 +1512,7 @@ Optimizer::Optimizer(const compiler::FunctionTable* functions,
       view_cache_(view_cache),
       options_(options) {}
 
-Status Optimizer::Optimize(xquery::ExprPtr& root) {
+Status Optimizer::Optimize(xquery::ExprPtr& root, OptimizeStats* stats) {
   std::set<std::string> in_progress;
   int rename_serial = 0;
   Impl impl(functions_, schemas_, view_cache_, options_, &in_progress,
@@ -1506,7 +1522,7 @@ Status Optimizer::Optimize(xquery::ExprPtr& root) {
   // for rows that reach it) into a static type error. Such a query keeps
   // its unoptimized plan, so it behaves as the reference interpreter does.
   ExprPtr original = CloneExpr(root);
-  Status st = impl.Optimize(root, {});
+  Status st = impl.Optimize(root, {}, stats);
   if (st.code() == StatusCode::kOptimizeError) {
     root = std::move(original);
     return Status::OK();

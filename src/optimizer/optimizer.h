@@ -1,12 +1,14 @@
 #ifndef ALDSP_OPTIMIZER_OPTIMIZER_H_
 #define ALDSP_OPTIMIZER_OPTIMIZER_H_
 
-#include <list>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 
+#include "common/lru_map.h"
 #include "common/result.h"
 #include "compiler/function_table.h"
 #include "runtime/observed_cost.h"
@@ -56,9 +58,18 @@ struct OptimizerOptions {
   const runtime::ObservedCostModel* observed = nullptr;
 };
 
+/// What one Optimizer::Optimize call did: how many inline + rule passes
+/// ran, and whether the last one changed nothing. `converged` is false
+/// only when the loop stopped because it spent max_passes.
+struct OptimizeStats {
+  int passes = 0;
+  bool converged = true;
+};
+
 /// Cache of partially optimized view plans (paper §4.2): the
 /// query-independent part of view optimization runs once per function and
-/// is reused by every query that unfolds the view. LRU-bounded.
+/// is reused by every query that unfolds the view. LRU-bounded and safe
+/// to share between concurrent compiles.
 class ViewPlanCache {
  public:
   explicit ViewPlanCache(size_t max_entries = 256)
@@ -68,17 +79,17 @@ class ViewPlanCache {
   xquery::ExprPtr Get(const std::string& function);
   void Put(const std::string& function, xquery::ExprPtr body);
   void Clear();
-  size_t size() const { return entries_.size(); }
+  size_t size() const;
 
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  int64_t hits() const { return hits_.load(); }
+  int64_t misses() const { return misses_.load(); }
 
  private:
-  size_t max_entries_;
-  std::map<std::string, xquery::ExprPtr> entries_;
-  std::list<std::string> lru_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
+  const size_t max_entries_;
+  mutable std::mutex mu_;
+  LruMap<std::string, xquery::ExprPtr> entries_;
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
 };
 
 /// The rule-based ALDSP query optimizer (paper §4.2–§4.3, §4.5). Rewrites
@@ -94,8 +105,9 @@ class Optimizer {
             const xsd::SchemaRegistry* schemas,
             ViewPlanCache* view_cache = nullptr, OptimizerOptions options = {});
 
-  /// Optimizes a closed (no free variables) query expression.
-  Status Optimize(xquery::ExprPtr& root);
+  /// Optimizes a closed (no free variables), analyzed query expression.
+  /// Fills `stats`, when given, with the passes the top-level loop ran.
+  Status Optimize(xquery::ExprPtr& root, OptimizeStats* stats = nullptr);
 
   /// Runs the view sub-optimizer for one function and returns the
   /// partially optimized body (cached). Exposed for tests/benchmarks.

@@ -155,7 +155,8 @@ void RenderCompileHeader(const CompiledPlan& plan, std::ostream& os) {
   os << "compile: parse=" << plan.parse_micros
      << "us analyze=" << plan.analyze_micros
      << "us optimize=" << plan.optimize_micros
-     << "us pushdown=" << plan.pushdown_micros << "us\n";
+     << "us pushdown=" << plan.pushdown_micros
+     << "us passes=" << plan.optimizer_passes << "\n";
   RenderPushdownLine(plan.pushdown, os);
   if (!plan.called_functions.empty()) {
     os << "calls:";
@@ -169,6 +170,7 @@ void RenderCompileJson(const CompiledPlan& plan, std::ostream& os) {
      << ",\"analyze_micros\":" << plan.analyze_micros
      << ",\"optimize_micros\":" << plan.optimize_micros
      << ",\"pushdown_micros\":" << plan.pushdown_micros
+     << ",\"optimizer_passes\":" << plan.optimizer_passes
      << "},\"pushdown\":{\"regions\":" << plan.pushdown.regions_pushed
      << ",\"bare_scans\":" << plan.pushdown.bare_scans_pushed
      << ",\"scan_predicates\":" << plan.pushdown.scan_predicates_pushed

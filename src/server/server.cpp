@@ -246,7 +246,10 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Compile(
   if (options_.enable_optimizer) {
     optimizer::Optimizer opt(&functions_, &schemas_, &view_cache_,
                              options_.optimizer);
-    ALDSP_RETURN_NOT_OK(opt.Optimize(expr));
+    optimizer::OptimizeStats stats;
+    ALDSP_RETURN_NOT_OK(opt.Optimize(expr, &stats));
+    plan->optimizer_passes = stats.passes;
+    if (!stats.converged) ++optimizer_max_passes_hit_;
   }
   int64_t t3 = NowMicros();
   plan->optimize_micros = t3 - t2;
@@ -272,47 +275,49 @@ Result<std::shared_ptr<const CompiledPlan>> DataServicePlatform::Prepare(
   if (cache_hit != nullptr) *cache_hit = false;
   {
     std::lock_guard<std::mutex> lock(plan_cache_mutex_);
-    auto it = plan_cache_.find(query);
-    if (it != plan_cache_.end()) {
+    if (const auto* cached = plan_cache_.Touch(query)) {
       ++plan_cache_hits_;
-      plan_lru_.remove(query);
-      plan_lru_.push_front(query);
       if (cache_hit != nullptr) *cache_hit = true;
       metrics_.AddWindowedCounter("plan_cache.hits");
-      return it->second;
+      return *cached;
     }
     ++plan_cache_misses_;
   }
   metrics_.AddWindowedCounter("plan_cache.misses");
   ALDSP_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPlan> plan,
                          Compile(query));
+  const int64_t bookkeeping_start = NowMicros();
+  // Plan lifecycle plane: record the (statement, plan-version) pair with
+  // the cost-model advice inputs the optimizer just consulted. The
+  // version keeps the plan itself and renders its EXPLAIN snapshot only
+  // when a reader or a regression report asks for it.
+  plan_history_.RecordCompile(
+      plan->statement_fingerprint, plan->fingerprint,
+      plan->text.substr(0, 120), observed_.AdviceSnapshot(),
+      [plan] { return RenderPlanSnapshotText(*plan); });
+  {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    // A concurrent compile of the same text may have inserted it first;
+    // Put then replaces that entry instead of adding a second one.
+    if (plan_cache_.Peek(query) == nullptr) {
+      plan_cache_.MakeRoom(options_.plan_cache_size);
+    }
+    plan_cache_.Put(query, plan);
+  }
   // Compile-phase micros feed the rolling windows so a compile-time
-  // regression shows up in the metrics snapshot without a bench run.
+  // regression shows up in the metrics snapshot without a bench run. The
+  // bookkeeping after compilation counts toward the total, so the phases
+  // add up to the whole of a missed Prepare.
+  const int64_t bookkeeping = NowMicros() - bookkeeping_start;
   metrics_.RecordWindowed("compile.parse_micros", plan->parse_micros);
   metrics_.RecordWindowed("compile.analyze_micros", plan->analyze_micros);
   metrics_.RecordWindowed("compile.optimize_micros", plan->optimize_micros);
   metrics_.RecordWindowed("compile.pushdown_micros", plan->pushdown_micros);
+  metrics_.RecordWindowed("compile.bookkeeping_micros", bookkeeping);
   metrics_.RecordWindowed("compile.total_micros",
                           plan->parse_micros + plan->analyze_micros +
-                              plan->optimize_micros + plan->pushdown_micros);
-  // Plan lifecycle plane: record the (statement, plan-version) pair with
-  // the cost-model advice inputs the optimizer just consulted and an
-  // EXPLAIN snapshot, so a later regression report can show what changed
-  // and why the plan flipped.
-  plan_history_.RecordCompile(plan->statement_fingerprint, plan->fingerprint,
-                              plan->text.substr(0, 120),
-                              observed_.AdviceSnapshot(),
-                              RenderPlanSnapshotText(*plan));
-  {
-    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
-    while (plan_cache_.size() >= options_.plan_cache_size &&
-           !plan_lru_.empty()) {
-      plan_cache_.erase(plan_lru_.back());
-      plan_lru_.pop_back();
-    }
-    plan_cache_[query] = plan;
-    plan_lru_.push_front(query);
-  }
+                              plan->optimize_micros + plan->pushdown_micros +
+                              bookkeeping);
   return plan;
 }
 
@@ -865,6 +870,8 @@ runtime::MetricsRegistry::Snapshot DataServicePlatform::MetricsSnapshot() {
     metrics_.SetCounter("plan_cache.entries",
                         static_cast<int64_t>(plan_cache_.size()));
   }
+  metrics_.SetCounter("optimizer.max_passes_hit",
+                      optimizer_max_passes_hit_.load());
   metrics_.SetCounter("view_plan_cache.hits", view_cache_.hits());
   metrics_.SetCounter("view_plan_cache.misses", view_cache_.misses());
   metrics_.SetCounter("view_plan_cache.entries",
@@ -1120,7 +1127,11 @@ std::string DataServicePlatform::MetricsPrometheusText() {
 void DataServicePlatform::ClearPlanCache() {
   std::lock_guard<std::mutex> lock(plan_cache_mutex_);
   plan_cache_.clear();
-  plan_lru_.clear();
+}
+
+std::pair<size_t, size_t> DataServicePlatform::plan_cache_sizes() const {
+  std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+  return {plan_cache_.size(), plan_cache_.recency_size()};
 }
 
 std::string DataServicePlatform::Describe() const {
@@ -1146,9 +1157,12 @@ std::string DataServicePlatform::Describe() const {
        << (svc.lineage_provider.empty() ? "<none>" : svc.lineage_provider)
        << "\n";
   }
-  os << "caches: plan " << plan_cache_.size() << " entries ("
-     << plan_cache_hits_ << " hits / " << plan_cache_misses_
-     << " misses), view plans " << view_cache_.size() << ", function cache "
+  {
+    std::lock_guard<std::mutex> lock(plan_cache_mutex_);
+    os << "caches: plan " << plan_cache_.size() << " entries ("
+       << plan_cache_hits_ << " hits / " << plan_cache_misses_ << " misses)";
+  }
+  os << ", view plans " << view_cache_.size() << ", function cache "
      << function_cache_.size() << " entries ("
      << function_cache_.stats().hits.load() << " hits)\n";
   os << "runtime: " << stats_.source_invocations.load()

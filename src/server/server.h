@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 
 #include "adaptors/file_adaptor.h"
 #include "adaptors/relational_adaptor.h"
+#include "common/lru_map.h"
 #include "compiler/analyzer.h"
 #include "compiler/function_table.h"
 #include "observability/audit_log.h"
@@ -60,6 +60,9 @@ struct CompiledPlan {
   int64_t analyze_micros = 0;
   int64_t optimize_micros = 0;
   int64_t pushdown_micros = 0;
+  /// Inline + rule passes the optimizer ran before reaching its fixpoint
+  /// (equal to OptimizerOptions::max_passes when it never did).
+  int optimizer_passes = 0;
 };
 
 struct ServerOptions {
@@ -451,6 +454,9 @@ class DataServicePlatform {
 
   int64_t plan_cache_hits() const { return plan_cache_hits_; }
   int64_t plan_cache_misses() const { return plan_cache_misses_; }
+  /// Plan-cache entries and the length of its LRU list (equal by
+  /// construction; exposed so tests can check the bookkeeping).
+  std::pair<size_t, size_t> plan_cache_sizes() const;
   void ClearPlanCache();
 
   /// The administration console's view of the server (paper Fig. 2): a
@@ -563,11 +569,12 @@ class DataServicePlatform {
   service::ServiceCatalog services_;
   std::shared_ptr<adaptors::FileAdaptor> file_adaptor_;  // lazily created
 
-  std::mutex plan_cache_mutex_;
-  std::map<std::string, std::shared_ptr<const CompiledPlan>> plan_cache_;
-  std::list<std::string> plan_lru_;
+  mutable std::mutex plan_cache_mutex_;
+  LruMap<std::string, std::shared_ptr<const CompiledPlan>> plan_cache_;
   int64_t plan_cache_hits_ = 0;
   int64_t plan_cache_misses_ = 0;
+  /// Compiles whose optimizer stopped at max_passes without converging.
+  std::atomic<int64_t> optimizer_max_passes_hit_{0};
 
   /// Declared last so it is destroyed first: the destructor joins any
   /// evaluation a fn-bea:timeout abandoned while the adaptors, function

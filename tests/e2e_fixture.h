@@ -19,6 +19,33 @@
 
 namespace aldsp::testing {
 
+/// The running example's customer-profile view (paper Figure 3) and its
+/// keyed read method, over the RunningExample sources below.
+inline constexpr const char* kFigure3ProfileModule = R"(
+declare function tns:getProfile() as element(PROFILE)* {
+  for $CUSTOMER in ns3:CUSTOMER()
+  return
+    <PROFILE>
+      <CID>{fn:data($CUSTOMER/CID)}</CID>
+      <LAST_NAME>{ fn:data($CUSTOMER/LAST_NAME) }</LAST_NAME>
+      <SINCE>{ ns1:int2date($CUSTOMER/SINCE) }</SINCE>
+      <ORDERS>{ ns3:getORDER($CUSTOMER) }</ORDERS>
+      <CREDIT_CARDS>{ ns2:CREDIT_CARD()[CID eq $CUSTOMER/CID] }</CREDIT_CARDS>
+      <RATING>{
+        fn:data(ns4:getRating(
+          <ns5:getRating>
+            <ns5:lName>{ fn:data($CUSTOMER/LAST_NAME) }</ns5:lName>
+            <ns5:ssn>{ fn:data($CUSTOMER/SSN) }</ns5:ssn>
+          </ns5:getRating>)/ns5:getRatingResult)
+      }</RATING>
+    </PROFILE>
+};
+declare function tns:getProfileByID($id as xs:string)
+    as element(PROFILE)* {
+  tns:getProfile()[CID eq $id]
+};
+)";
+
 /// The full running-example environment of paper §3.4 / Figure 3:
 /// customer_db (CUSTOMER + ORDER with a foreign key) introspected as
 /// source functions ns3:*, billing_db (CREDIT_CARD) as ns2:*, a simulated

@@ -384,29 +384,8 @@ TEST(OptimizerTest, Figure3ProfileOptimizedEquivalence) {
                                            relational::Cell::Str("SSN-900"),
                                            relational::Cell::Int(1000000000)})
                   .ok());
+  ASSERT_TRUE(env.LoadModule(aldsp::testing::kFigure3ProfileModule).ok());
   const char* module = R"(
-declare function tns:getProfile() as element(PROFILE)* {
-  for $CUSTOMER in ns3:CUSTOMER()
-  return
-    <PROFILE>
-      <CID>{fn:data($CUSTOMER/CID)}</CID>
-      <LAST_NAME>{ fn:data($CUSTOMER/LAST_NAME) }</LAST_NAME>
-      <SINCE>{ ns1:int2date($CUSTOMER/SINCE) }</SINCE>
-      <ORDERS>{ ns3:getORDER($CUSTOMER) }</ORDERS>
-      <CREDIT_CARDS>{ ns2:CREDIT_CARD()[CID eq $CUSTOMER/CID] }</CREDIT_CARDS>
-      <RATING>{
-        fn:data(ns4:getRating(
-          <ns5:getRating>
-            <ns5:lName>{ fn:data($CUSTOMER/LAST_NAME) }</ns5:lName>
-            <ns5:ssn>{ fn:data($CUSTOMER/SSN) }</ns5:ssn>
-          </ns5:getRating>)/ns5:getRatingResult)
-      }</RATING>
-    </PROFILE>
-};
-declare function tns:getProfileByID($id as xs:string)
-    as element(PROFILE)* {
-  tns:getProfile()[CID eq $id]
-};
 declare function tns:shapes() as element(S)* {
   for $c in ns3:CUSTOMER()
   return

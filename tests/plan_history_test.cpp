@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "observability/plan_history.h"
 #include "server/explain.h"
@@ -125,6 +128,100 @@ TEST(PlanHistoryTest, StatementEvictionIsLeastRecentlySeen) {
   EXPECT_TRUE(history.Statement(3).has_value());
 }
 
+// The recency list must evict exactly the statement the full scan over
+// "latest version's last-seen time" used to pick. A reference model runs
+// that scan on a logical clock next to the history, through random
+// compiles (new and repeated plan shapes, version roll-off) and
+// executions (of the latest and of older versions, which do not refresh
+// a statement), and the tracked sets must agree after every step.
+TEST(PlanHistoryTest, RecencyEvictionMatchesLeastRecentlySeenScan) {
+  struct ModelVersion {
+    uint64_t plan_fp;
+    int64_t last_seen;
+  };
+  PlanHistoryOptions opts;
+  opts.max_statements = 4;
+  opts.max_versions_per_statement = 2;
+  opts.sentinel_min_calls = 0;
+  for (uint32_t seed = 1; seed <= 8; ++seed) {
+    PlanHistory history(opts);
+    std::map<uint64_t, std::vector<ModelVersion>> model;
+    std::mt19937 rng(seed);
+    int64_t clock = 0;
+    int64_t evictions = 0;
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t stmt = 1 + rng() % 7;
+      const uint64_t plan = 100 + rng() % 3;
+      ++clock;
+      if (rng() % 2 == 0) {
+        history.RecordCompile(stmt, plan, "q", "a", "p");
+        if (model.count(stmt) == 0 && model.size() >= opts.max_statements) {
+          auto victim = model.begin();
+          for (auto it = model.begin(); it != model.end(); ++it) {
+            if (it->second.back().last_seen < victim->second.back().last_seen) {
+              victim = it;
+            }
+          }
+          model.erase(victim);
+          ++evictions;
+        }
+        auto& versions = model[stmt];
+        if (!versions.empty() && versions.back().plan_fp == plan) {
+          versions.back().last_seen = clock;
+        } else {
+          if (versions.size() >= opts.max_versions_per_statement) {
+            versions.erase(versions.begin());
+          }
+          versions.push_back({plan, clock});
+        }
+      } else {
+        history.RecordExecution(stmt, plan, 100);
+        auto it = model.find(stmt);
+        if (it != model.end()) {
+          for (auto v = it->second.rbegin(); v != it->second.rend(); ++v) {
+            if (v->plan_fp == plan) {
+              v->last_seen = clock;
+              break;
+            }
+          }
+        }
+      }
+      for (uint64_t s = 1; s <= 7; ++s) {
+        ASSERT_EQ(history.Statement(s).has_value(), model.count(s) == 1)
+            << "seed " << seed << " step " << step << " statement " << s;
+      }
+    }
+    EXPECT_EQ(history.statement_evictions(), evictions);
+  }
+}
+
+// A renderer is called only when a version is read, and the text it
+// yields is what a snapshot rendered at compile time would have held.
+TEST(PlanHistoryTest, ExplainRenderedOnlyOnRead) {
+  PlanHistory history;
+  int renders = 0;
+  history.RecordCompile(4, 40, "q", "a", [&renders] {
+    ++renders;
+    return std::string("plan v1");
+  });
+  history.RecordExecution(4, 40, 100);
+  EXPECT_NE(history.RenderHistoryText(0).find("stmt_fp=4"), std::string::npos);
+  EXPECT_EQ(renders, 0);
+  auto s = history.Statement(4);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->versions[0].explain_text, "plan v1");
+  EXPECT_EQ(renders, 1);
+  EXPECT_NE(history.RenderHistoryJson(0).find("\"explain\":\"plan v1\""),
+            std::string::npos);
+  // A recompile to the same shape touches the version, which then
+  // renders from the newer compile, like its advice snapshot.
+  history.RecordCompile(4, 40, "q", "a2", "plan v1 again");
+  s = history.Statement(4);
+  ASSERT_EQ(s->versions.size(), 1u);
+  EXPECT_EQ(s->versions[0].advice_snapshot, "a2");
+  EXPECT_EQ(s->versions[0].explain_text, "plan v1 again");
+}
+
 TEST(PlanHistoryTest, SentinelFiresOnceAndCarriesExplains) {
   PlanHistoryOptions opts;
   opts.sentinel_min_calls = 3;
@@ -230,6 +327,9 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   const uint64_t stmt_fp = (*cold)->statement_fingerprint;
   const uint64_t v1_fp = (*cold)->fingerprint;
+  // What the history used to store at compile time; it now renders on
+  // read and must produce the same text.
+  const std::string v1_explain = server::RenderPlanSnapshotText(**cold);
   ASSERT_NE(stmt_fp, 0u);
   const Clause* join = FindJoin((*cold)->plan);
   ASSERT_NE(join, nullptr);
@@ -251,6 +351,7 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
   EXPECT_EQ((*warm)->statement_fingerprint, stmt_fp);
   const uint64_t v2_fp = (*warm)->fingerprint;
   ASSERT_NE(v2_fp, v1_fp);
+  const std::string v2_explain = server::RenderPlanSnapshotText(**warm);
   join = FindJoin((*warm)->plan);
   ASSERT_NE(join, nullptr);
   EXPECT_EQ(join->method, JoinMethod::kIndexNestedLoop);
@@ -269,6 +370,8 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
   EXPECT_FALSE(hist->versions[1].explain_text.empty());
   EXPECT_NE(hist->versions[0].explain_text,
             hist->versions[1].explain_text);
+  EXPECT_EQ(hist->versions[0].explain_text, v1_explain);
+  EXPECT_EQ(hist->versions[1].explain_text, v2_explain);
 
   // Make the new version slow (the sources now really sleep), run it to
   // its sentinel threshold. The slowdown scales off the *measured* v1
@@ -301,6 +404,9 @@ TEST(PlanLifecycleE2ETest, FlipRecordsHistoryAndSentinelFires) {
   EXPECT_NE(ev.explain_diff.find("- "), std::string::npos);
   EXPECT_NE(ev.explain_diff.find("+ "), std::string::npos);
   EXPECT_NE(ev.explain_diff.find("ppk-inl"), std::string::npos);
+  EXPECT_EQ(ev.baseline_explain, v1_explain);
+  EXPECT_EQ(ev.regressed_explain, v2_explain);
+  EXPECT_EQ(ev.explain_diff, server::RenderExplainDiff(v1_explain, v2_explain));
 
   // ...a plan_regression audit event...
   auto audited =

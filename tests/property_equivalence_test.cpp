@@ -14,6 +14,7 @@
 #include "compiler/analyzer.h"
 #include "optimizer/optimizer.h"
 #include "runtime/evaluator.h"
+#include "server/fingerprint.h"
 #include "sql/pushdown.h"
 #include "tests/e2e_fixture.h"
 #include "xml/serializer.h"
@@ -186,6 +187,57 @@ class QueryGenerator {
 };
 
 class EquivalenceProperty : public ::testing::TestWithParam<uint32_t> {};
+
+// Optimizes `query` with the default max_passes N and with N + 1. Both
+// runs must reach the optimizer's fixpoint below the bound and pick the
+// same plan: a rule that reports `changed` without a real change would
+// pin the loop at the bound and make the plan depend on its parity.
+void ExpectOptimizerConverges(RunningExample& env, const std::string& query) {
+  SCOPED_TRACE(query);
+  const int n = optimizer::OptimizerOptions{}.max_passes;
+  uint64_t fingerprint[2] = {0, 0};
+  for (int extra = 0; extra < 2; ++extra) {
+    auto parsed = xquery::ParseExpression(query);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    xquery::ExprPtr e = *parsed;
+    DiagnosticBag bag;
+    compiler::Analyzer analyzer(&env.functions, &env.schemas, &bag);
+    ASSERT_TRUE(analyzer.Analyze(e, {}).ok()) << bag.ToString();
+    optimizer::OptimizerOptions options;
+    options.max_passes = n + extra;
+    optimizer::Optimizer opt(&env.functions, &env.schemas, nullptr, options);
+    optimizer::OptimizeStats stats;
+    ASSERT_TRUE(opt.Optimize(e, &stats).ok());
+    EXPECT_TRUE(stats.converged);
+    EXPECT_LT(stats.passes, n);
+    fingerprint[extra] = server::PlanFingerprint(*e);
+  }
+  EXPECT_EQ(fingerprint[0], fingerprint[1]);
+}
+
+TEST_P(EquivalenceProperty, RandomQueriesConvergeBelowMaxPasses) {
+  RunningExample env(12, 3);
+  QueryGenerator gen(GetParam() * 7919 + 17);
+  for (int i = 0; i < 8; ++i) ExpectOptimizerConverges(env, gen.Next());
+}
+
+// The running example (paper Figure 3): the profile view, its keyed read
+// method, and filters and joins over the unfolded view.
+TEST(OptimizerConvergence, RunningExampleConvergesBelowMaxPasses) {
+  RunningExample env(6, 3);
+  ASSERT_TRUE(env.LoadModule(aldsp::testing::kFigure3ProfileModule).ok());
+  for (const char* query : {
+           "tns:getProfile()",
+           "tns:getProfileByID(\"CUST002\")",
+           "for $p in tns:getProfile() where $p/CID eq \"CUST003\" "
+           "and $p/LAST_NAME ne \"Lee\" return $p",
+           "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+           "where $c/SINCE ge 1000000000 and $c/LAST_NAME ne \"Lee\" "
+           "and $o/CID eq $c/CID return <R>{$c/CID}{$o/OID}</R>",
+       }) {
+    ExpectOptimizerConverges(env, query);
+  }
+}
 
 TEST_P(EquivalenceProperty, RandomQueriesAgreeAcrossPlans) {
   RunningExample env(12, 3);

@@ -2,6 +2,7 @@
 #include <atomic>
 #include <thread>
 
+#include "server/explain.h"
 #include "server/server.h"
 #include "tests/test_fixtures.h"
 #include "xml/serializer.h"
@@ -313,6 +314,124 @@ TEST_F(ServerTest, ViewPlanCachePopulatedByPrepares) {
   EXPECT_EQ(platform_.view_plan_cache().size(), 1u);
   ASSERT_TRUE(platform_.Execute("fn:count(tns:v()) + 1").ok());
   EXPECT_GT(platform_.view_plan_cache().hits(), 0);
+}
+
+TEST_F(ServerTest, ConcurrentMissesOnOneTextLeaveOneCacheEntry) {
+  // Two clients that miss on the same text both compile it; the second
+  // insert must replace the first, not add a second LRU entry that would
+  // later evict the live plan early. Rounds repeat until several of them
+  // had both clients miss (the interleaving under test), with a bound so
+  // a loaded machine that never overlaps them fails instead of hanging.
+  const char* q =
+      "for $c in ns3:CUSTOMER() where $c/CID ne \"CUST001\" "
+      "and $c/LAST_NAME ne \"Lee\" return fn:data($c/CID)";
+  int double_misses = 0;
+  for (int round = 0; round < 2000 && double_misses < 5; ++round) {
+    platform_.ClearPlanCache();
+    const int64_t misses_before = platform_.plan_cache_misses();
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        if (!platform_.Prepare(q).ok()) failures.fetch_add(1);
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(failures.load(), 0);
+    if (platform_.plan_cache_misses() - misses_before == 2) ++double_misses;
+    auto [entries, lru] = platform_.plan_cache_sizes();
+    ASSERT_EQ(entries, 1u) << "round " << round;
+    ASSERT_EQ(lru, 1u) << "round " << round;
+  }
+  EXPECT_GE(double_misses, 1);
+}
+
+TEST_F(ServerTest, PlanCacheHitRefreshesRecency) {
+  ServerOptions options;
+  options.plan_cache_size = 2;
+  DataServicePlatform platform(options);
+  ASSERT_TRUE(platform
+                  .RegisterRelationalSource(
+                      "ns3",
+                      std::shared_ptr<relational::Database>(
+                          MakeCustomerDb(3, 1).release()),
+                      "oracle")
+                  .ok());
+  ASSERT_TRUE(platform.Prepare("1 + 1").ok());
+  ASSERT_TRUE(platform.Prepare("2 + 2").ok());
+  ASSERT_TRUE(platform.Prepare("1 + 1").ok());  // hit: now most recent
+  ASSERT_TRUE(platform.Prepare("3 + 3").ok());  // evicts "2 + 2"
+  EXPECT_EQ(platform.plan_cache_sizes(), std::make_pair(size_t{2}, size_t{2}));
+  bool hit = false;
+  ASSERT_TRUE(platform.Prepare("1 + 1", &hit).ok());
+  EXPECT_TRUE(hit);
+  ASSERT_TRUE(platform.Prepare("2 + 2", &hit).ok());
+  EXPECT_FALSE(hit);
+}
+
+TEST_F(ServerTest, ExplainReportsOptimizerPasses) {
+  auto plan = platform_.Prepare(
+      "for $c in ns3:CUSTOMER(), $o in ns3:ORDER() "
+      "where $c/LAST_NAME ne \"Lee\" and $o/CID eq $c/CID "
+      "and $c/SINCE ge 1000000000 return fn:data($o/OID)");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const int passes = (*plan)->optimizer_passes;
+  EXPECT_GE(passes, 1);
+  EXPECT_LT(passes, platform_.options().optimizer.max_passes);
+  const std::string text = RenderPlanText(**plan);
+  EXPECT_NE(text.find("us passes=" + std::to_string(passes) + "\n"),
+            std::string::npos)
+      << text;
+  const std::string json = RenderPlanJson(**plan);
+  EXPECT_NE(json.find("\"optimizer_passes\":" + std::to_string(passes)),
+            std::string::npos)
+      << json;
+  // Converged: the max-passes counter stays at zero.
+  EXPECT_EQ(platform_.MetricsSnapshot().counters.at("optimizer.max_passes_hit"),
+            0);
+}
+
+TEST_F(ServerTest, MaxPassesHitIsCounted) {
+  ServerOptions options;
+  options.optimizer.max_passes = 1;
+  DataServicePlatform platform(options);
+  ASSERT_TRUE(platform
+                  .RegisterRelationalSource(
+                      "ns3",
+                      std::shared_ptr<relational::Database>(
+                          MakeCustomerDb(3, 1).release()),
+                      "oracle")
+                  .ok());
+  // Splitting the conjunction changes the tree, so one pass cannot
+  // reach the fixpoint.
+  auto plan = platform.Prepare(
+      "for $c in ns3:CUSTOMER() where $c/CID ne \"CUST001\" "
+      "and $c/LAST_NAME ne \"Lee\" return fn:data($c/CID)");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ((*plan)->optimizer_passes, 1);
+  EXPECT_EQ(platform.MetricsSnapshot().counters.at("optimizer.max_passes_hit"),
+            1);
+}
+
+TEST_F(ServerTest, CompileTotalIncludesBookkeeping) {
+  ASSERT_TRUE(platform_.Prepare("fn:count(ns3:CUSTOMER())").ok());
+  auto snap = platform_.MetricsSnapshot();
+  const auto& bookkeeping = snap.windows.at("compile.bookkeeping_micros");
+  const auto& total = snap.windows.at("compile.total_micros");
+  EXPECT_EQ(bookkeeping.total.count, 1);
+  EXPECT_EQ(total.total.count, 1);
+  int64_t phases = 0;
+  for (const char* phase :
+       {"compile.parse_micros", "compile.analyze_micros",
+        "compile.optimize_micros", "compile.pushdown_micros",
+        "compile.bookkeeping_micros"}) {
+    phases += snap.windows.at(phase).total.sum_micros;
+  }
+  EXPECT_EQ(total.total.sum_micros, phases);
 }
 
 }  // namespace
