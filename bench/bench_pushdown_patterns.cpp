@@ -75,8 +75,8 @@ std::unique_ptr<DataServicePlatform> MakePlatform(bool pushdown) {
 }
 
 void CollectSql(const xquery::ExprPtr& e, std::string* out) {
-  if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select) {
-    auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
+  if (e->kind == xquery::ExprKind::kSqlQuery && e->sql() && e->sql()->select) {
+    auto text = sql::RenderSql(*e->sql()->select, sql::SqlDialect::kOracle);
     if (text.ok()) {
       if (!out->empty()) *out += "\n    ";
       *out += *text;

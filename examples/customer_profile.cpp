@@ -17,9 +17,9 @@ using namespace aldsp;
 namespace {
 
 void PrintSqlRegions(const xquery::ExprPtr& e, int depth = 0) {
-  if (e->kind == xquery::ExprKind::kSqlQuery && e->sql && e->sql->select) {
-    auto text = sql::RenderSql(*e->sql->select, sql::SqlDialect::kOracle);
-    std::printf("  [SQL -> %s] %s\n", e->sql->source.c_str(),
+  if (e->kind == xquery::ExprKind::kSqlQuery && e->sql() && e->sql()->select) {
+    auto text = sql::RenderSql(*e->sql()->select, sql::SqlDialect::kOracle);
+    std::printf("  [SQL -> %s] %s\n", e->sql()->source.c_str(),
                 text.ok() ? text->c_str() : "<render error>");
   }
   xquery::ForEachChildSlot(*e, [&](xquery::ExprPtr& c) {

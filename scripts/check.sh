@@ -223,8 +223,10 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 # PP-k prefetcher (including streams stopped with fetches in flight),
 # the timeline trace's worker lanes, the observability plane's
 # lock-free audit ring, the observed-cost model that PP-k prefetch
-# tasks feed from pool threads mid-query, and the server's plan and
-# view-plan caches under concurrent compiles (the shared-state paths).
+# tasks feed from pool threads mid-query, the server's plan and
+# view-plan caches under concurrent compiles, and the relational
+# substitute's statements and update submits, whose simulated round trips
+# sleep outside the database mutex (the shared-state paths).
 # query_trace_test is excluded: its timeout
 # test deliberately abandons an evaluation past the end of the test
 # body, which is the documented fn-bea:timeout contract, not a data
@@ -238,8 +240,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   --target physical_parity_test parallel_exec_test worker_pool_test \
   join_methods_test observability_test insight_plane_test \
   batch_runtime_test plan_history_test workload_replay_test admission_test \
-  timeline_trace_test observed_cost_test server_test
+  timeline_trace_test observed_cost_test server_test \
+  relational_engine_test update_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|timeline_trace_test|observed_cost_test|server_test)$'
+  -R '^(physical_parity_test|parallel_exec_test|worker_pool_test|join_methods_test|observability_test|insight_plane_test|batch_runtime_test|plan_history_test|workload_replay_test|admission_test|timeline_trace_test|observed_cost_test|server_test|relational_engine_test|update_test)$'
 
 echo "== all checks passed =="

@@ -132,7 +132,7 @@ class Analyzer::Impl {
           value_parts.push_back(CloneExpr(c));
         }
       }
-      ExprPtr ctor = xquery::MakeElementCtor(e->ctor_name, e->children,
+      ExprPtr ctor = xquery::MakeElementCtor(e->name, e->children,
                                              /*conditional=*/false, e->loc);
       ExprPtr cond = xquery::MakeFunctionCall(
           "fn:exists", {xquery::MakeSequence(std::move(value_parts), e->loc)},
@@ -142,7 +142,7 @@ class Analyzer::Impl {
       return;
     }
     if (e->kind == ExprKind::kAttributeCtor && e->conditional) {
-      ExprPtr ctor = xquery::MakeAttributeCtor(e->ctor_name, e->children[0],
+      ExprPtr ctor = xquery::MakeAttributeCtor(e->name, e->children[0],
                                                /*conditional=*/false, e->loc);
       ExprPtr cond = xquery::MakeFunctionCall(
           "fn:exists", {CloneExpr(e->children[0])}, e->loc);
@@ -180,10 +180,10 @@ class Analyzer::Impl {
         return;
       }
       case ExprKind::kVarRef: {
-        const VarBinding* var = FindVar(e->var_name);
+        const VarBinding* var = FindVar(e->name);
         if (var == nullptr) {
           ReportError(e, StatusCode::kAnalysisError,
-                      "undefined variable $" + e->var_name);
+                      "undefined variable $" + e->name);
           return;
         }
         e->static_type = var->type;
@@ -204,7 +204,7 @@ class Analyzer::Impl {
       case ExprKind::kAttributeCtor: {
         Check(e->children[0]);
         xml::AtomicType at = xsd::AtomizedType(e->children[0]->static_type);
-        e->static_type = xsd::One(XType::AttributeType(e->ctor_name, at));
+        e->static_type = xsd::One(XType::AttributeType(e->name, at));
         return;
       }
       case ExprKind::kIf: {
@@ -217,7 +217,7 @@ class Analyzer::Impl {
       }
       case ExprKind::kQuantified: {
         Check(e->children[0]);
-        env_.push_back({e->var_name2,
+        env_.push_back({e->name,
                         {e->children[0]->static_type.item
                              ? e->children[0]->static_type.item
                              : XType::AnyItem(),
@@ -267,9 +267,9 @@ class Analyzer::Impl {
           return;
         }
         xml::AtomicType result;
-        if (e->op == "div") {
+        if (e->name == "div") {
           result = xml::AtomicType::kDouble;
-        } else if (e->op == "idiv") {
+        } else if (e->name == "idiv") {
           result = xml::AtomicType::kInteger;
         } else if (lt == xml::AtomicType::kDouble ||
                    rt == xml::AtomicType::kDouble ||
@@ -299,13 +299,13 @@ class Analyzer::Impl {
         return;
       case ExprKind::kCastAs: {
         Check(e->children[0]);
-        auto target = ResolveTypeRef(e->type_ref, *schemas_);
+        auto target = ResolveTypeRef(e->extra->type_ref, *schemas_);
         if (!target.ok()) {
           ReportError(e, StatusCode::kTypeError, target.status().message());
           return;
         }
-        e->target_type = target.value();
-        e->static_type = {e->target_type.item,
+        e->extra->target_type = target.value();
+        e->static_type = {e->extra->target_type.item,
                           e->children[0]->static_type.allows_empty()
                               ? Occurrence::kOptional
                               : Occurrence::kOne};
@@ -314,33 +314,33 @@ class Analyzer::Impl {
       case ExprKind::kInstanceOf:
       case ExprKind::kCastable: {
         Check(e->children[0]);
-        auto target = ResolveTypeRef(e->type_ref, *schemas_);
+        auto target = ResolveTypeRef(e->extra->type_ref, *schemas_);
         if (!target.ok()) {
           ReportError(e, StatusCode::kTypeError, target.status().message());
           return;
         }
-        e->target_type = target.value();
+        e->extra->target_type = target.value();
         e->static_type = xsd::One(XType::Atomic(xml::AtomicType::kBoolean));
         return;
       }
       case ExprKind::kTypematch:
         Check(e->children[0]);
-        e->static_type = e->target_type;
+        e->static_type = e->extra->target_type;
         return;
       case ExprKind::kSqlQuery: {
         for (auto& c : e->children) Check(c);
-        if (e->sql) {
+        if (const xquery::SqlQuerySpec* sql = e->sql()) {
           // Structural row type from the pushed query's output columns;
           // every column is optional because NULL renders as a missing
           // element (paper §4.4).
           std::vector<xsd::ElementField> fields;
-          for (const auto& col : e->sql->columns) {
+          for (const auto& col : sql->columns) {
             fields.push_back(
                 {col.name,
                  xsd::Opt(XType::SimpleElement(col.name, col.type))});
           }
           e->static_type = xsd::Star(
-              XType::ComplexElement(e->sql->row_name, std::move(fields)));
+              XType::ComplexElement(sql->row_name, std::move(fields)));
         } else {
           e->static_type = xsd::Star(XType::AnyElement("row"));
         }
@@ -349,8 +349,8 @@ class Analyzer::Impl {
       case ExprKind::kCustomQuery: {
         for (auto& c : e->children) Check(c);
         const ExternalFunction* fn =
-            e->custom ? functions_->FindExternal(e->custom->function)
-                      : nullptr;
+            e->custom() ? functions_->FindExternal(e->custom()->function)
+                        : nullptr;
         // Filtering never adds items: the source function's type (made
         // optional-cardinality) bounds the result.
         if (fn != nullptr && !fn->return_type.is_empty_sequence()) {
@@ -362,7 +362,7 @@ class Analyzer::Impl {
         return;
       }
       case ExprKind::kError:
-        e->static_type = xsd::One(XType::Error(e->error_message));
+        e->static_type = xsd::One(XType::Error(e->name));
         return;
     }
   }
@@ -470,7 +470,7 @@ class Analyzer::Impl {
     const TypePtr& item = in.item;
     if (item->kind() == XType::Kind::kAtomic) {
       ReportError(e, StatusCode::kTypeError,
-                  "path step '" + e->step_name + "' on atomic type " +
+                  "path step '" + e->name + "' on atomic type " +
                       item->ToString());
       return;
     }
@@ -478,10 +478,10 @@ class Analyzer::Impl {
         !item->has_simple_content()) {
       // Structural typing: we statically know the content model.
       if (e->is_attribute_step) {
-        const xsd::ElementField* attr = item->FindAttribute(e->step_name);
+        const xsd::ElementField* attr = item->FindAttribute(e->name);
         if (attr == nullptr) {
           ReportError(e, StatusCode::kTypeError,
-                      "no attribute @" + e->step_name + " in " +
+                      "no attribute @" + e->name + " in " +
                           item->ToString());
           return;
         }
@@ -490,10 +490,10 @@ class Analyzer::Impl {
                                                  attr->type.occurrence)};
         return;
       }
-      const xsd::ElementField* field = item->FindField(e->step_name);
+      const xsd::ElementField* field = item->FindField(e->name);
       if (field == nullptr) {
         ReportError(e, StatusCode::kTypeError,
-                    "no child element <" + e->step_name + "> in " +
+                    "no child element <" + e->name + "> in " +
                         item->ToString());
         return;
       }
@@ -504,16 +504,16 @@ class Analyzer::Impl {
     }
     if (item->kind() == XType::Kind::kElement && item->has_simple_content()) {
       ReportError(e, StatusCode::kTypeError,
-                  "path step '" + e->step_name +
+                  "path step '" + e->name +
                       "' into simple-content element " + item->ToString());
       return;
     }
     // element(E, ANYTYPE), node(), item(): dynamically typed navigation.
     if (e->is_attribute_step) {
       e->static_type = xsd::Star(
-          XType::AttributeType(e->step_name, xml::AtomicType::kUntyped));
+          XType::AttributeType(e->name, xml::AtomicType::kUntyped));
     } else {
-      e->static_type = xsd::Star(XType::AnyElement(e->step_name));
+      e->static_type = xsd::Star(XType::AnyElement(e->name));
     }
   }
 
@@ -540,7 +540,7 @@ class Analyzer::Impl {
       Check(c);
       const SequenceType& t = c->static_type;
       if (c->kind == ExprKind::kAttributeCtor) {
-        attrs.push_back({c->ctor_name, t});
+        attrs.push_back({c->name, t});
         continue;
       }
       ++content_children;
@@ -572,46 +572,46 @@ class Analyzer::Impl {
     // an opaque ANYTYPE element; the common data-centric cases stay
     // precisely typed (the essence of structural typing, paper §3.1).
     if (opaque_content || (has_atomic_content && !fields.empty())) {
-      e->static_type = xsd::One(XType::AnyElement(e->ctor_name));
+      e->static_type = xsd::One(XType::AnyElement(e->name));
       return;
     }
     if (fields.empty()) {
       if (has_atomic_content && content_children == 1) {
         e->static_type =
-            xsd::One(XType::SimpleElement(e->ctor_name, single_atomic));
+            xsd::One(XType::SimpleElement(e->name, single_atomic));
       } else if (has_atomic_content) {
         e->static_type = xsd::One(
-            XType::SimpleElement(e->ctor_name, xml::AtomicType::kString));
+            XType::SimpleElement(e->name, xml::AtomicType::kString));
       } else {
         e->static_type =
-            xsd::One(XType::ComplexElement(e->ctor_name, {}, std::move(attrs)));
+            xsd::One(XType::ComplexElement(e->name, {}, std::move(attrs)));
       }
       return;
     }
     e->static_type = xsd::One(
-        XType::ComplexElement(e->ctor_name, std::move(fields), std::move(attrs)));
+        XType::ComplexElement(e->name, std::move(fields), std::move(attrs)));
   }
 
   void CheckFunctionCall(ExprPtr& e) {
     for (auto& c : e->children) Check(c);
-    Builtin b = LookupBuiltin(e->fn_name);
+    Builtin b = LookupBuiltin(e->name);
     if (b != Builtin::kUnknown) {
       int min_args, max_args;
       BuiltinArity(b, &min_args, &max_args);
       int n = static_cast<int>(e->children.size());
       if (n < min_args || n > max_args) {
         ReportError(e, StatusCode::kAnalysisError,
-                    "wrong number of arguments to " + e->fn_name + ": " +
+                    "wrong number of arguments to " + e->name + ": " +
                         std::to_string(n));
         return;
       }
       e->static_type = InferBuiltinType(b, *e);
       return;
     }
-    if (const UserFunction* fn = functions_->FindUser(e->fn_name)) {
+    if (const UserFunction* fn = functions_->FindUser(e->name)) {
       if (e->children.size() != fn->params.size()) {
         ReportError(e, StatusCode::kAnalysisError,
-                    "wrong number of arguments to " + e->fn_name);
+                    "wrong number of arguments to " + e->name);
         return;
       }
       for (size_t i = 0; i < e->children.size(); ++i) {
@@ -621,10 +621,10 @@ class Analyzer::Impl {
       e->static_type = fn->return_type;
       return;
     }
-    if (const ExternalFunction* fn = functions_->FindExternal(e->fn_name)) {
+    if (const ExternalFunction* fn = functions_->FindExternal(e->name)) {
       if (e->children.size() != fn->param_types.size()) {
         ReportError(e, StatusCode::kAnalysisError,
-                    "wrong number of arguments to " + e->fn_name);
+                    "wrong number of arguments to " + e->name);
         return;
       }
       for (size_t i = 0; i < e->children.size(); ++i) {
@@ -635,7 +635,7 @@ class Analyzer::Impl {
       return;
     }
     ReportError(e, StatusCode::kAnalysisError,
-                "unknown function: " + e->fn_name);
+                "unknown function: " + e->name);
   }
 
   // ALDSP's optimistic static typing rule (paper §4.1): the argument is
@@ -666,7 +666,7 @@ class Analyzer::Impl {
     if (!xsd::Intersects(at, param_type)) {
       ReportError(call, StatusCode::kTypeError,
                   "argument " + std::to_string(arg_index + 1) + " of " +
-                      call->fn_name + " has type " + at.ToString() +
+                      call->name + " has type " + at.ToString() +
                       ", incompatible with " + param_type.ToString());
       return;
     }

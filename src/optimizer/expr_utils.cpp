@@ -14,7 +14,7 @@ void CollectFree(const Expr& e, std::set<std::string> bound,
                  std::set<std::string>* free) {
   switch (e.kind) {
     case ExprKind::kVarRef:
-      if (bound.count(e.var_name) == 0) free->insert(e.var_name);
+      if (bound.count(e.name) == 0) free->insert(e.name);
       return;
     case ExprKind::kFLWOR: {
       for (const auto& cl : e.clauses) {
@@ -66,7 +66,7 @@ void CollectFree(const Expr& e, std::set<std::string> bound,
     }
     case ExprKind::kQuantified: {
       CollectFree(*e.children[0], bound, free);
-      bound.insert(e.var_name2);
+      bound.insert(e.name);
       CollectFree(*e.children[1], bound, free);
       return;
     }
@@ -91,7 +91,7 @@ void Subst(ExprPtr& e, const std::string& name, const ExprPtr& replacement) {
   if (!e) return;
   switch (e->kind) {
     case ExprKind::kVarRef:
-      if (e->var_name == name) e = CloneExpr(replacement);
+      if (e->name == name) e = CloneExpr(replacement);
       return;
     case ExprKind::kFLWOR: {
       bool shadowed = false;
@@ -121,7 +121,7 @@ void Subst(ExprPtr& e, const std::string& name, const ExprPtr& replacement) {
             for (auto& gv : cl.group_vars) {
               if (gv.in_var == name &&
                   replacement->kind == ExprKind::kVarRef) {
-                gv.in_var = replacement->var_name;
+                gv.in_var = replacement->name;
               }
             }
             for (auto& gk : cl.group_keys) Subst(gk.expr, name, replacement);
@@ -142,7 +142,7 @@ void Subst(ExprPtr& e, const std::string& name, const ExprPtr& replacement) {
     }
     case ExprKind::kQuantified:
       Subst(e->children[0], name, replacement);
-      if (e->var_name2 != name) Subst(e->children[1], name, replacement);
+      if (e->name != name) Subst(e->children[1], name, replacement);
       return;
     case ExprKind::kFilter:
       Subst(e->children[0], name, replacement);
@@ -249,15 +249,15 @@ void RenameBoundVars(ExprPtr& e, int* serial) {
       }
     }
   } else if (e->kind == ExprKind::kQuantified) {
-    std::string new_name = fresh(e->var_name2);
+    std::string new_name = fresh(e->name);
     ExprPtr ref = xquery::MakeVarRef(new_name);
-    Subst(e->children[1], e->var_name2, ref);
-    e->var_name2 = new_name;
+    Subst(e->children[1], e->name, ref);
+    e->name = new_name;
   }
 }
 
 bool ContainsCallTo(const Expr& e, const std::string& name) {
-  if (e.kind == ExprKind::kFunctionCall && e.fn_name == name) return true;
+  if (e.kind == ExprKind::kFunctionCall && e.name == name) return true;
   bool found = false;
   xquery::ForEachChildSlot(const_cast<Expr&>(e), [&](ExprPtr& c) {
     if (!found && c && ContainsCallTo(*c, name)) found = true;
@@ -269,7 +269,7 @@ int CountVarUses(const Expr& e, const std::string& name) {
   // Approximation that ignores shadowing (safe for freshly renamed trees,
   // where names are unique).
   int count = 0;
-  if (e.kind == ExprKind::kVarRef && e.var_name == name) return 1;
+  if (e.kind == ExprKind::kVarRef && e.name == name) return 1;
   xquery::ForEachChildSlot(const_cast<Expr&>(e), [&](ExprPtr& c) {
     if (c) count += CountVarUses(*c, name);
   });

@@ -209,7 +209,7 @@ class Optimizer::Impl {
         binding = binding->children[0].get();
       }
       if (binding->kind != ExprKind::kFunctionCall) continue;
-      const ExternalFunction* fn = functions_->FindExternal(binding->fn_name);
+      const ExternalFunction* fn = functions_->FindExternal(binding->name);
       if (fn == nullptr || !fn->is_relational()) continue;
       cl.estimated_rows = options_.observed->ObservedRows(
           fn->Property("source"), fn->Property("table"));
@@ -220,7 +220,7 @@ class Optimizer::Impl {
   // the only lets worth fanning out, since everything else is CPU-cheap.
   bool CallsExternal(Expr& e) const {
     if (e.kind == ExprKind::kFunctionCall &&
-        functions_->FindExternal(e.fn_name) != nullptr) {
+        functions_->FindExternal(e.name) != nullptr) {
       return true;
     }
     bool found = false;
@@ -290,10 +290,10 @@ class Optimizer::Impl {
     });
     ALDSP_RETURN_NOT_OK(status);
     if (e->kind != ExprKind::kFunctionCall) return changed;
-    const UserFunction* fn = functions_->FindUser(e->fn_name);
+    const UserFunction* fn = functions_->FindUser(e->name);
     if (fn == nullptr || fn->body == nullptr || !fn->valid) return changed;
-    if (in_progress_->count(e->fn_name) > 0) return changed;  // recursion
-    ALDSP_ASSIGN_OR_RETURN(ExprPtr body, OptimizedViewBody(e->fn_name));
+    if (in_progress_->count(e->name) > 0) return changed;  // recursion
+    ALDSP_ASSIGN_OR_RETURN(ExprPtr body, OptimizedViewBody(e->name));
     RenameBoundVars(body, rename_serial_);
     // Bind parameters: trivial arguments substitute directly, others
     // become let clauses so they are evaluated once.
@@ -388,7 +388,7 @@ class Optimizer::Impl {
     if (e->kind != ExprKind::kFunctionCall || e->children.size() != 1) {
       return false;
     }
-    const ExternalFunction* nav = functions_->FindExternal(e->fn_name);
+    const ExternalFunction* nav = functions_->FindExternal(e->name);
     if (nav == nullptr || nav->kind() != "relational-nav") return false;
     // The argument must be cheap to duplicate into the correlation
     // predicate (a variable, or a typematch/data wrapper around one).
@@ -470,14 +470,14 @@ class Optimizer::Impl {
     if (input->kind == ExprKind::kFLWOR) {
       ExprPtr ret = input->children[0];
       input->children[0] =
-          xquery::MakePathStep(ret, e->step_name, e->is_attribute_step, e->loc);
+          xquery::MakePathStep(ret, e->name, e->is_attribute_step, e->loc);
       e = input;
       return true;
     }
     if (input->kind == ExprKind::kSequence) {
       std::vector<ExprPtr> parts;
       for (auto& c : input->children) {
-        parts.push_back(xquery::MakePathStep(c, e->step_name,
+        parts.push_back(xquery::MakePathStep(c, e->name,
                                              e->is_attribute_step, e->loc));
       }
       e = xquery::MakeSequence(std::move(parts), e->loc);
@@ -499,7 +499,7 @@ class Optimizer::Impl {
     for (const auto& c : input->children) {
       if (e->is_attribute_step) {
         if (c->kind == ExprKind::kAttributeCtor &&
-            xml::NameMatches(c->ctor_name, e->step_name)) {
+            xml::NameMatches(c->name, e->name)) {
           // attribute constructor value becomes an attribute node; keep
           // the constructor itself.
           kept.push_back(c);
@@ -508,7 +508,7 @@ class Optimizer::Impl {
       }
       if (c->kind == ExprKind::kAttributeCtor) continue;
       if (c->kind == ExprKind::kElementCtor) {
-        if (xml::NameMatches(c->ctor_name, e->step_name)) kept.push_back(c);
+        if (xml::NameMatches(c->name, e->name)) kept.push_back(c);
         continue;
       }
       // Typed content: keep element-typed parts matching the step, drop
@@ -519,7 +519,7 @@ class Optimizer::Impl {
       if (t.item->kind() == XType::Kind::kAtomic) continue;
       if (t.item->kind() == XType::Kind::kElement &&
           !t.item->has_any_content()) {
-        if (xml::NameMatches(t.item->name(), e->step_name)) kept.push_back(c);
+        if (xml::NameMatches(t.item->name(), e->name)) kept.push_back(c);
         continue;
       }
       return false;  // opaque content: cannot decide statically
@@ -530,7 +530,7 @@ class Optimizer::Impl {
 
   static bool IsDataCall(const Expr& e) {
     return e.kind == ExprKind::kFunctionCall &&
-           LookupBuiltin(e.fn_name) == Builtin::kData && e.children.size() == 1;
+           LookupBuiltin(e.name) == Builtin::kData && e.children.size() == 1;
   }
 
   // The single atomic-typed content part of a non-conditional element
@@ -576,8 +576,8 @@ class Optimizer::Impl {
     if (inner->kind != ExprKind::kFunctionCall || inner->children.size() != 1) {
       return false;
     }
-    const std::string& outer_name = e->fn_name;
-    const std::string& inner_name = inner->fn_name;
+    const std::string& outer_name = e->name;
+    const std::string& inner_name = inner->name;
     if (functions_->InverseOf(outer_name) == inner_name ||
         functions_->InverseOf(inner_name) == outer_name) {
       e = inner->children[0];
@@ -594,7 +594,7 @@ class Optimizer::Impl {
                                  "=",  "!=", "<",  "<=", ">",  ">="};
     bool op_ok = false;
     for (const char* op : kOps) {
-      if (e->op == op) {
+      if (e->name == op) {
         op_ok = true;
         break;
       }
@@ -607,9 +607,9 @@ class Optimizer::Impl {
       ExprPtr& l = e->children[0];
       ExprPtr& r = e->children[1];
       if (l->kind == ExprKind::kFunctionCall &&
-          r->kind == ExprKind::kFunctionCall && l->fn_name == r->fn_name &&
+          r->kind == ExprKind::kFunctionCall && l->name == r->name &&
           l->children.size() == 1 && r->children.size() == 1 &&
-          !functions_->InverseOf(l->fn_name).empty()) {
+          !functions_->InverseOf(l->name).empty()) {
         l = l->children[0];
         r = r->children[0];
         return true;
@@ -621,12 +621,12 @@ class Optimizer::Impl {
       if (call->kind != ExprKind::kFunctionCall || call->children.size() != 1) {
         continue;
       }
-      std::string inverse = functions_->InverseOf(call->fn_name);
+      std::string inverse = functions_->InverseOf(call->name);
       if (inverse.empty()) continue;
       // Avoid ping-ponging: only rewrite when the other side is not
       // itself a call to the same transformation.
       if (other->kind == ExprKind::kFunctionCall &&
-          other->fn_name == call->fn_name) {
+          other->name == call->name) {
         continue;
       }
       ExprPtr arg = call->children[0];
@@ -655,15 +655,15 @@ class Optimizer::Impl {
         int64_t x = a.AsInteger();
         int64_t y = b.AsInteger();
         int64_t v;
-        if (e->op == "+") {
+        if (e->name == "+") {
           v = x + y;
-        } else if (e->op == "-") {
+        } else if (e->name == "-") {
           v = x - y;
-        } else if (e->op == "*") {
+        } else if (e->name == "*") {
           v = x * y;
-        } else if (e->op == "idiv" && y != 0) {
+        } else if (e->name == "idiv" && y != 0) {
           v = x / y;
-        } else if (e->op == "mod" && y != 0) {
+        } else if (e->name == "mod" && y != 0) {
           v = x % y;
         } else {
           return false;
@@ -679,17 +679,17 @@ class Optimizer::Impl {
       if (!cmp.ok()) return false;
       int c = cmp.value();
       bool v;
-      if (e->op == "eq" || e->op == "=") {
+      if (e->name == "eq" || e->name == "=") {
         v = c == 0;
-      } else if (e->op == "ne" || e->op == "!=") {
+      } else if (e->name == "ne" || e->name == "!=") {
         v = c != 0;
-      } else if (e->op == "lt" || e->op == "<") {
+      } else if (e->name == "lt" || e->name == "<") {
         v = c < 0;
-      } else if (e->op == "le" || e->op == "<=") {
+      } else if (e->name == "le" || e->name == "<=") {
         v = c <= 0;
-      } else if (e->op == "gt" || e->op == ">") {
+      } else if (e->name == "gt" || e->name == ">") {
         v = c > 0;
-      } else if (e->op == "ge" || e->op == ">=") {
+      } else if (e->name == "ge" || e->name == ">=") {
         v = c >= 0;
       } else {
         return false;
@@ -700,7 +700,7 @@ class Optimizer::Impl {
     if (e->kind == ExprKind::kLogical && lit(e->children[0]) &&
         e->children[0]->literal.type() == xml::AtomicType::kBoolean) {
       bool l = e->children[0]->literal.AsBoolean();
-      if (e->op == "and") {
+      if (e->name == "and") {
         if (!l) {
           e = xquery::MakeLiteral(xml::AtomicValue::Boolean(false), e->loc);
         } else {
@@ -708,7 +708,7 @@ class Optimizer::Impl {
         }
         return true;
       }
-      if (e->op == "or") {
+      if (e->name == "or") {
         if (l) {
           e = xquery::MakeLiteral(xml::AtomicValue::Boolean(true), e->loc);
         } else {
@@ -815,7 +815,7 @@ class Optimizer::Impl {
     for (const auto& c : ctor.children) {
       if (c->kind == ExprKind::kAttributeCtor) continue;
       if (c->kind == ExprKind::kElementCtor) {
-        if (!xml::NameMatches(c->ctor_name, name)) continue;
+        if (!xml::NameMatches(c->name, name)) continue;
         if (part != nullptr) return nullptr;
         part = c;
         continue;
@@ -836,7 +836,7 @@ class Optimizer::Impl {
   // True if `e` binds any of `names` (FLWOR clause variables, a
   // quantifier variable, or the context item of a filter predicate).
   static bool BindsAnyOf(const Expr& e, const std::set<std::string>& names) {
-    if (e.kind == ExprKind::kQuantified) return names.count(e.var_name2) > 0;
+    if (e.kind == ExprKind::kQuantified) return names.count(e.name) > 0;
     if (e.kind == ExprKind::kFilter) return names.count(".") > 0;
     if (e.kind != ExprKind::kFLWOR) return false;
     for (const Clause& cl : e.clauses) {
@@ -857,10 +857,10 @@ class Optimizer::Impl {
     xml::Sequence literal{xml::Item(other.literal)};
     Result<xml::Sequence> r =
         side == 0 ? runtime::CompareAtomizedOperands(empty_element, literal,
-                                                     cmp.op,
+                                                     cmp.name,
                                                      cmp.general_comparison)
                   : runtime::CompareAtomizedOperands(literal, empty_element,
-                                                     cmp.op,
+                                                     cmp.name,
                                                      cmp.general_comparison);
     return r.ok() && r->size() == 1 && r->front().is_atomic() &&
            r->front().atomic().type() == xml::AtomicType::kBoolean &&
@@ -876,11 +876,11 @@ class Optimizer::Impl {
     auto child_step = [&](const Expr& s) {
       return s.kind == ExprKind::kPathStep && !s.is_attribute_step &&
              s.children[0]->kind == ExprKind::kVarRef &&
-             s.children[0]->var_name == var;
+             s.children[0]->name == var;
     };
     // The content that atomizing `step` may be replaced by, or null.
     auto content_for = [&](const Expr& step) -> ExprPtr {
-      ExprPtr part = SingleChildPart(ctor, step.step_name);
+      ExprPtr part = SingleChildPart(ctor, step.name);
       if (part == nullptr || !IsCheap(*part)) return nullptr;
       ExprPtr content = AtomicContent(*part);
       if (content == nullptr ||
@@ -975,7 +975,7 @@ class Optimizer::Impl {
     for (size_t i = 0; i < e->clauses.size(); ++i) {
       Clause& cl = e->clauses[i];
       if (cl.kind != Clause::Kind::kWhere) continue;
-      if (cl.expr->kind == ExprKind::kLogical && cl.expr->op == "and") {
+      if (cl.expr->kind == ExprKind::kLogical && cl.expr->name == "and") {
         Clause second;
         second.kind = Clause::Kind::kWhere;
         second.expr = cl.expr->children[1];
@@ -1112,7 +1112,7 @@ class Optimizer::Impl {
         if (wj.kind != Clause::Kind::kWhere) continue;
         const ExprPtr& pred = wj.expr;
         if (pred->kind != ExprKind::kComparison ||
-            (pred->op != "eq" && pred->op != "=")) {
+            (pred->name != "eq" && pred->name != "=")) {
           continue;
         }
         auto side_vars = [&](const ExprPtr& s) { return FreeVars(*s); };
@@ -1150,7 +1150,7 @@ class Optimizer::Impl {
   // Unwraps fn:data around a path step.
   static const Expr* UnwrapData(const Expr& e) {
     if (e.kind == ExprKind::kFunctionCall &&
-        LookupBuiltin(e.fn_name) == Builtin::kData && e.children.size() == 1) {
+        LookupBuiltin(e.name) == Builtin::kData && e.children.size() == 1) {
       return e.children[0].get();
     }
     return &e;
@@ -1164,7 +1164,7 @@ class Optimizer::Impl {
       if (cl.method != JoinMethod::kAuto) continue;  // already decided
       if (cl.equi_keys.size() != 1 || cl.ppk_fetch != nullptr) continue;
       if (cl.expr->kind != ExprKind::kFunctionCall) continue;
-      const ExternalFunction* fn = functions_->FindExternal(cl.expr->fn_name);
+      const ExternalFunction* fn = functions_->FindExternal(cl.expr->name);
       if (fn == nullptr || !fn->is_relational() || !cl.expr->children.empty()) {
         continue;
       }
@@ -1172,7 +1172,7 @@ class Optimizer::Impl {
       const Expr* rkey = UnwrapData(*cl.equi_keys[0].second);
       if (rkey->kind != ExprKind::kPathStep || rkey->is_attribute_step ||
           rkey->children[0]->kind != ExprKind::kVarRef ||
-          rkey->children[0]->var_name != cl.var) {
+          rkey->children[0]->name != cl.var) {
         continue;
       }
       // Column metadata from the function's structural row type.
@@ -1184,7 +1184,7 @@ class Optimizer::Impl {
       auto spec = std::make_shared<xquery::PPkFetchSpec>();
       spec->source = fn->Property("source");
       spec->in_alias = "t1";
-      spec->in_column = rkey->step_name;
+      spec->in_column = rkey->name;
       spec->row_name = row_type.name();
       auto select = std::make_shared<relational::SelectStmt>();
       select->from = {fn->Property("table"), nullptr, "t1"};
@@ -1240,7 +1240,7 @@ class Optimizer::Impl {
       binding = binding->children[0].get();
     }
     if (binding->kind != ExprKind::kFunctionCall) return -1;
-    const ExternalFunction* fn = functions_->FindExternal(binding->fn_name);
+    const ExternalFunction* fn = functions_->FindExternal(binding->name);
     if (fn == nullptr || !fn->is_relational()) return -1;
     return options_.observed->ObservedRows(fn->Property("source"),
                                            fn->Property("table"));
@@ -1317,7 +1317,7 @@ class Optimizer::Impl {
         for (auto& ok : later.order_keys) SubstituteVar(ok.expr, name, value);
         if (value->kind == ExprKind::kVarRef) {
           for (auto& gv : later.group_vars) {
-            if (gv.in_var == name) gv.in_var = value->var_name;
+            if (gv.in_var == name) gv.in_var = value->name;
           }
         }
       }
@@ -1351,7 +1351,7 @@ class Optimizer::Impl {
       }
       case ExprKind::kFunctionCall: {
         // fn:data over cheap content is cheap.
-        if (LookupBuiltin(e.fn_name) != Builtin::kData) return false;
+        if (LookupBuiltin(e.name) != Builtin::kData) return false;
         return e.children.size() == 1 && IsCheap(*e.children[0]);
       }
       default:
@@ -1443,7 +1443,7 @@ class Optimizer::Impl {
       return false;
     }
     if (first.expr->kind != ExprKind::kFunctionCall) return false;
-    const ExternalFunction* fn = functions_->FindExternal(first.expr->fn_name);
+    const ExternalFunction* fn = functions_->FindExternal(first.expr->name);
     if (fn == nullptr || !fn->is_relational()) return false;
     std::string pk = fn->Property("primary_key");
     if (pk.empty() || pk.find(',') != std::string::npos) return false;
@@ -1463,8 +1463,8 @@ class Optimizer::Impl {
             }
             if (key->kind == ExprKind::kPathStep && !key->is_attribute_step &&
                 key->children[0]->kind == ExprKind::kVarRef &&
-                key->children[0]->var_name == first.var &&
-                key->step_name == pk) {
+                key->children[0]->name == first.var &&
+                key->name == pk) {
               has_pk_key = true;
             }
           }

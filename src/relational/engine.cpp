@@ -63,9 +63,12 @@ struct Relation {
   std::vector<Row> rows;
 };
 
-// Canonical encoding of a cell for hashing/grouping. NULL encodes to a
-// distinguished tag (used by GROUP BY, where NULLs group together); join
-// code must skip NULL keys itself.
+// Hash encoding of a cell for joins and grouping: cells that compare
+// equal encode equally (5 and 5.0 both give "n5"), but not the converse,
+// since integers format as doubles and int64 values past 2^53 collide. So
+// an equal encoding only nominates a candidate; CompareCells or
+// GroupingEquals decides. NULL encodes to a distinguished tag (GROUP BY
+// groups NULLs together); join code must skip NULL keys itself.
 std::string EncodeCell(const Cell& c) {
   if (c.is_null) return std::string("\x01N", 2);
   const xml::AtomicValue& v = c.value;
@@ -119,6 +122,17 @@ bool LikeMatch(const std::string& text, const std::string& pattern, size_t ti,
   return ti == text.size();
 }
 
+// Three-valued truth of a logical operand: NULL is unknown; a non-boolean
+// value is a RuntimeError naming `op` (AtomicValue::AsBoolean would throw).
+Result<Tribool> TruthOf(const Cell& c, const char* op) {
+  if (c.is_null) return Tribool::kUnknown;
+  if (c.value.type() != xml::AtomicType::kBoolean) {
+    return Status::RuntimeError(std::string(op) +
+                                " operand did not evaluate to boolean");
+  }
+  return ToTribool(c.value.AsBoolean());
+}
+
 std::string EncodeCells(const std::vector<Cell>& cells) {
   std::string out;
   for (const auto& c : cells) {
@@ -129,6 +143,39 @@ std::string EncodeCells(const std::vector<Cell>& cells) {
   }
   return out;
 }
+
+// The distinct keys seen so far, each with a slot number in order of
+// first appearance. Encodings bucket the candidates, GroupingEquals
+// confirms (see EncodeCell), so GROUP BY and DISTINCT agree with a
+// pairwise comparison.
+class KeyIndex {
+ public:
+  // The slot of `key`, assigned the next one if it is new (`*added`).
+  size_t FindOrAdd(std::vector<Cell> key, bool* added) {
+    std::vector<size_t>& bucket = buckets_[EncodeCells(key)];
+    for (size_t slot : bucket) {
+      if (SameKey(keys_[slot], key)) {
+        *added = false;
+        return slot;
+      }
+    }
+    *added = true;
+    bucket.push_back(keys_.size());
+    keys_.push_back(std::move(key));
+    return keys_.size() - 1;
+  }
+
+ private:
+  static bool SameKey(const std::vector<Cell>& a, const std::vector<Cell>& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (!GroupingEquals(a[i], b[i])) return false;
+    }
+    return true;
+  }
+
+  std::unordered_map<std::string, std::vector<size_t>> buckets_;
+  std::vector<std::vector<Cell>> keys_;
+};
 
 class Executor {
  public:
@@ -151,6 +198,9 @@ class Executor {
   }
 
   Result<Cell> EvalPublic(const SqlExpr& e, const Frame& f) { return Eval(e, f); }
+  Result<bool> PredicatePublic(const SqlExpr& e, const Frame& f) {
+    return EvalPredicate(e, f);
+  }
 
   Result<Relation> ExecSelect(const SelectStmt& s, const Frame* outer) {
     // ----- FROM + JOINs -----
@@ -188,7 +238,7 @@ class Executor {
         std::vector<const Row*> members;
       };
       std::vector<Group> groups;
-      std::unordered_map<std::string, size_t> index;
+      KeyIndex index;
       if (s.group_by.empty()) {
         // Global aggregate: exactly one group (possibly empty).
         groups.emplace_back();
@@ -203,14 +253,10 @@ class Executor {
             ALDSP_ASSIGN_OR_RETURN(Cell c, Eval(*g, f));
             key.push_back(std::move(c));
           }
-          std::string enc = EncodeCells(key);
-          auto it = index.find(enc);
-          if (it == index.end()) {
-            index.emplace(enc, groups.size());
-            groups.emplace_back();
-            it = index.find(enc);
-          }
-          groups[it->second].members.push_back(&row);
+          bool added = false;
+          size_t slot = index.FindOrAdd(std::move(key), &added);
+          if (added) groups.emplace_back();
+          groups[slot].members.push_back(&row);
         }
       }
       Row null_row(working.scope.Width(), Cell::Null());
@@ -266,10 +312,11 @@ class Executor {
     std::vector<Row> rows;
     rows.reserve(out.size());
     if (s.distinct) {
-      std::unordered_map<std::string, bool> seen;
+      KeyIndex seen;
       for (auto& o : out) {
-        std::string enc = EncodeCells(o.cells);
-        if (seen.emplace(enc, true).second) rows.push_back(std::move(o.cells));
+        bool added = false;
+        seen.FindOrAdd(o.cells, &added);
+        if (added) rows.push_back(std::move(o.cells));
       }
     } else {
       for (auto& o : out) rows.push_back(std::move(o.cells));
@@ -309,11 +356,11 @@ class Executor {
     for (const auto& a : e.args) {
       if (a && ExprHasAggregate(*a)) return true;
     }
-    for (const auto& [c, r] : e.whens) {
+    if (!e.extra) return false;
+    for (const auto& [c, r] : e.extra->whens) {
       if ((c && ExprHasAggregate(*c)) || (r && ExprHasAggregate(*r))) return true;
     }
-    if (e.else_expr && ExprHasAggregate(*e.else_expr)) return true;
-    return false;
+    return e.extra->else_expr && ExprHasAggregate(*e.extra->else_expr);
   }
 
   static bool AnyAggregate(const std::vector<SelectItem>& items) {
@@ -354,7 +401,7 @@ class Executor {
   // Extracts conjuncts of a condition (flattening AND).
   static void CollectConjuncts(const SqlExprPtr& e,
                                std::vector<SqlExprPtr>* out) {
-    if (e && e->kind == SqlExpr::Kind::kBinary && e->op == "AND") {
+    if (e && e->kind == SqlExpr::Kind::kBinary && e->text == "AND") {
       CollectConjuncts(e->args[0], out);
       CollectConjuncts(e->args[1], out);
     } else if (e) {
@@ -366,19 +413,19 @@ class Executor {
   static bool ResolvesIn(const SqlExpr& e, const Scope& scope) {
     if (e.kind == SqlExpr::Kind::kColumn) {
       size_t idx;
-      return scope.Resolve(e.table_alias, e.column, &idx);
+      return scope.Resolve(e.table_alias, e.text, &idx);
     }
     if (e.kind == SqlExpr::Kind::kExists) return false;  // be conservative
     for (const auto& a : e.args) {
       if (a && !ResolvesIn(*a, scope)) return false;
     }
-    for (const auto& [c, r] : e.whens) {
+    if (!e.extra) return true;
+    for (const auto& [c, r] : e.extra->whens) {
       if ((c && !ResolvesIn(*c, scope)) || (r && !ResolvesIn(*r, scope))) {
         return false;
       }
     }
-    if (e.else_expr && !ResolvesIn(*e.else_expr, scope)) return false;
-    return true;
+    return !e.extra->else_expr || ResolvesIn(*e.extra->else_expr, scope);
   }
 
   Result<Relation> ExecJoin(Relation left, Relation right,
@@ -400,7 +447,7 @@ class Executor {
     std::vector<SqlExprPtr> residual;
     for (const auto& c : conjuncts) {
       bool added = false;
-      if (c->kind == SqlExpr::Kind::kBinary && c->op == "=") {
+      if (c->kind == SqlExpr::Kind::kBinary && c->text == "=") {
         const SqlExprPtr& a = c->args[0];
         const SqlExprPtr& b = c->args[1];
         if (ResolvesIn(*a, left.scope) && ResolvesIn(*b, right.scope)) {
@@ -424,8 +471,10 @@ class Executor {
     };
 
     if (!equi.empty()) {
-      // Hash join: build on right, probe with left.
+      // Hash join: build on right, probe with left. A shared encoding
+      // only nominates a candidate; CompareCells confirms each key.
       std::unordered_map<std::string, std::vector<size_t>> build;
+      std::vector<std::vector<Cell>> right_keys(right.rows.size());
       for (size_t ri = 0; ri < right.rows.size(); ++ri) {
         Frame f{&right.scope, &right.rows[ri], nullptr, outer};
         std::vector<Cell> key;
@@ -437,6 +486,7 @@ class Executor {
         }
         if (has_null) continue;  // NULL keys never join
         build[EncodeCells(key)].push_back(ri);
+        right_keys[ri] = std::move(key);
       }
       for (const auto& lrow : left.rows) {
         Frame f{&left.scope, &lrow, nullptr, outer};
@@ -452,6 +502,13 @@ class Executor {
           auto it = build.find(EncodeCells(key));
           if (it != build.end()) {
             for (size_t ri : it->second) {
+              bool keys_equal = true;
+              for (size_t k = 0; k < key.size() && keys_equal; ++k) {
+                ALDSP_ASSIGN_OR_RETURN(
+                    Tribool t, CompareCells(key[k], right_keys[ri][k], "="));
+                keys_equal = t == Tribool::kTrue;
+              }
+              if (!keys_equal) continue;
               Row merged = lrow;
               merged.insert(merged.end(), right.rows[ri].begin(),
                             right.rows[ri].end());
@@ -512,13 +569,13 @@ class Executor {
         while (cur != nullptr) {
           size_t idx;
           if (cur->scope != nullptr && cur->row != nullptr &&
-              cur->scope->Resolve(e.table_alias, e.column, &idx)) {
+              cur->scope->Resolve(e.table_alias, e.text, &idx)) {
             return (*cur->row)[idx];
           }
           cur = cur->outer;
         }
         return Status::RuntimeError("unresolved column " + e.table_alias +
-                                    ".\"" + e.column + "\"");
+                                    ".\"" + e.text + "\"");
       }
       case SqlExpr::Kind::kLiteral:
         return e.literal;
@@ -534,19 +591,20 @@ class Executor {
         return EvalBinary(e, f);
       case SqlExpr::Kind::kNot: {
         ALDSP_ASSIGN_OR_RETURN(Cell a, Eval(*e.args[0], f));
-        if (a.is_null) return Cell::Null();
-        return Cell::Bool(!a.value.AsBoolean());
+        ALDSP_ASSIGN_OR_RETURN(Tribool t, TruthOf(a, "NOT"));
+        if (t == Tribool::kUnknown) return Cell::Null();
+        return Cell::Bool(t == Tribool::kFalse);
       }
       case SqlExpr::Kind::kIsNull: {
         ALDSP_ASSIGN_OR_RETURN(Cell a, Eval(*e.args[0], f));
         return Cell::Bool(e.negated ? !a.is_null : a.is_null);
       }
       case SqlExpr::Kind::kCase: {
-        for (const auto& [cond, res] : e.whens) {
+        for (const auto& [cond, res] : e.extra->whens) {
           ALDSP_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*cond, f));
           if (ok) return Eval(*res, f);
         }
-        if (e.else_expr) return Eval(*e.else_expr, f);
+        if (e.extra->else_expr) return Eval(*e.extra->else_expr, f);
         return Cell::Null();
       }
       case SqlExpr::Kind::kFunc:
@@ -572,28 +630,28 @@ class Executor {
       case SqlExpr::Kind::kExists: {
         Executor sub(lookup_, params_, stats_);
         ALDSP_ASSIGN_OR_RETURN(Relation rel,
-                               sub.ExecSelect(*e.subquery, &f));
+                               sub.ExecSelect(*e.extra->subquery, &f));
         return Cell::Bool(!rel.rows.empty());
       }
       case SqlExpr::Kind::kLike: {
         ALDSP_ASSIGN_OR_RETURN(Cell v, Eval(*e.args[0], f));
         if (v.is_null) return Cell::Null();
-        return Cell::Bool(LikeMatch(v.value.Lexical(), e.op, 0, 0));
+        return Cell::Bool(LikeMatch(v.value.Lexical(), e.text, 0, 0));
       }
     }
     return Status::Internal("unhandled SQL expression kind");
   }
 
   Result<Cell> EvalBinary(const SqlExpr& e, const Frame& f) {
-    const std::string& op = e.op;
+    const std::string& op = e.text;
     if (op == "AND" || op == "OR") {
       ALDSP_ASSIGN_OR_RETURN(Cell a, Eval(*e.args[0], f));
       // Short-circuit where 3VL permits.
-      Tribool ta = a.is_null ? Tribool::kUnknown : ToTribool(a.value.AsBoolean());
+      ALDSP_ASSIGN_OR_RETURN(Tribool ta, TruthOf(a, op.c_str()));
       if (op == "AND" && ta == Tribool::kFalse) return Cell::Bool(false);
       if (op == "OR" && ta == Tribool::kTrue) return Cell::Bool(true);
       ALDSP_ASSIGN_OR_RETURN(Cell b, Eval(*e.args[1], f));
-      Tribool tb = b.is_null ? Tribool::kUnknown : ToTribool(b.value.AsBoolean());
+      ALDSP_ASSIGN_OR_RETURN(Tribool tb, TruthOf(b, op.c_str()));
       Tribool r = op == "AND" ? TriAnd(ta, tb) : TriOr(ta, tb);
       if (r == Tribool::kUnknown) return Cell::Null();
       return Cell::Bool(r == Tribool::kTrue);
@@ -683,7 +741,8 @@ class Executor {
     if (f.group == nullptr) {
       return Status::RuntimeError("aggregate outside a grouped context");
     }
-    if (e.agg == SqlAgg::kCountStar) {
+    const SqlAgg agg = e.extra->agg;
+    if (agg == SqlAgg::kCountStar) {
       return Cell::Int(static_cast<int64_t>(f.group->size()));
     }
     int64_t count = 0;
@@ -692,32 +751,34 @@ class Executor {
     int64_t isum = 0;
     Cell min = Cell::Null();
     Cell max = Cell::Null();
-    std::unordered_map<std::string, bool> distinct_seen;
+    KeyIndex distinct_seen;
     for (const Row* member : *f.group) {
       Frame mf{f.scope, member, nullptr, f.outer};
       ALDSP_ASSIGN_OR_RETURN(Cell v, Eval(*e.args[0], mf));
       if (v.is_null) continue;
-      if (e.distinct && !distinct_seen.emplace(EncodeCell(v), true).second) {
-        continue;
+      if (e.extra->distinct) {
+        bool added = false;
+        distinct_seen.FindOrAdd({v}, &added);
+        if (!added) continue;
       }
       ++count;
-      if (e.agg == SqlAgg::kSum || e.agg == SqlAgg::kAvg) {
+      if (agg == SqlAgg::kSum || agg == SqlAgg::kAvg) {
         if (v.value.type() != xml::AtomicType::kInteger) sum_is_int = false;
         sum += v.value.NumericAsDouble();
         if (v.value.type() == xml::AtomicType::kInteger) {
           isum += v.value.AsInteger();
         }
       }
-      if (e.agg == SqlAgg::kMin &&
+      if (agg == SqlAgg::kMin &&
           (min.is_null || OrderCompare(v, min) < 0)) {
         min = v;
       }
-      if (e.agg == SqlAgg::kMax &&
+      if (agg == SqlAgg::kMax &&
           (max.is_null || OrderCompare(v, max) > 0)) {
         max = v;
       }
     }
-    switch (e.agg) {
+    switch (agg) {
       case SqlAgg::kCount:
         return Cell::Int(count);
       case SqlAgg::kSum:
@@ -847,125 +908,147 @@ Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
   return result;
 }
 
+// Writes follow ExecuteSelect: the statement runs under mutex_, and the
+// round trip it charged is slept after the lock is released, so a slept
+// write never stalls the other statements on this source.
+
 Result<int64_t> Database::ExecuteUpdate(const UpdateStmt& stmt,
                                         const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
   int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [this](const std::string& name, const TableDef** def,
-                       const std::vector<Row>** rows) -> Status {
-    const TableStorage* s = FindStorage(name);
-    if (s == nullptr) return Status::NotFound("no such table: " + name);
-    *def = &s->def;
-    *rows = &s->rows;
-    return Status::OK();
-  };
-  Executor exec(lookup, &params, &stats_);
-  Scope scope;
-  std::vector<std::string> cols;
-  for (const auto& c : storage->def.columns) cols.push_back(c.name);
-  scope.entries.push_back({stmt.table_name, 0, cols});
+  Result<int64_t> result = [&]() -> Result<int64_t> {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
+    }
+    auto lookup = [this](const std::string& name, const TableDef** def,
+                         const std::vector<Row>** rows) -> Status {
+      const TableStorage* s = FindStorage(name);
+      if (s == nullptr) return Status::NotFound("no such table: " + name);
+      *def = &s->def;
+      *rows = &s->rows;
+      return Status::OK();
+    };
+    Executor exec(lookup, &params, &stats_);
+    Scope scope;
+    std::vector<std::string> cols;
+    for (const auto& c : storage->def.columns) cols.push_back(c.name);
+    scope.entries.push_back({stmt.table_name, 0, cols});
 
-  int64_t affected = 0;
-  for (auto& row : storage->rows) {
-    Frame f{&scope, &row, nullptr, nullptr};
-    if (stmt.where) {
-      ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
-      if (c.is_null || !c.value.AsBoolean()) continue;
-    }
-    // Evaluate all assignments against the pre-update row, then apply.
-    std::vector<std::pair<int, Cell>> updates;
-    for (const auto& [col, expr] : stmt.assignments) {
-      int idx = storage->def.ColumnIndex(col);
-      if (idx < 0) {
-        return Status::NotFound("no such column: " + col + " in " +
-                                stmt.table_name);
+    // Evaluate every row's assignments against the pre-update table, then
+    // apply them, so a failing row leaves the table unchanged.
+    std::vector<std::pair<Row*, std::vector<std::pair<int, Cell>>>> updates;
+    for (auto& row : storage->rows) {
+      Frame f{&scope, &row, nullptr, nullptr};
+      if (stmt.where) {
+        ALDSP_ASSIGN_OR_RETURN(bool match, exec.PredicatePublic(*stmt.where, f));
+        if (!match) continue;
       }
-      ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*expr, f));
-      updates.emplace_back(idx, std::move(v));
+      std::vector<std::pair<int, Cell>> row_updates;
+      for (const auto& [col, expr] : stmt.assignments) {
+        int idx = storage->def.ColumnIndex(col);
+        if (idx < 0) {
+          return Status::NotFound("no such column: " + col + " in " +
+                                  stmt.table_name);
+        }
+        ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*expr, f));
+        row_updates.emplace_back(idx, std::move(v));
+      }
+      updates.emplace_back(&row, std::move(row_updates));
     }
-    for (auto& [idx, v] : updates) row[static_cast<size_t>(idx)] = std::move(v);
-    ++affected;
-  }
-  return affected;
+    for (auto& [row, row_updates] : updates) {
+      for (auto& [idx, v] : row_updates) {
+        (*row)[static_cast<size_t>(idx)] = std::move(v);
+      }
+    }
+    return static_cast<int64_t>(updates.size());
+  }();
+  SimulateLatency(sleep_micros);
+  return result;
 }
 
 Result<int64_t> Database::ExecuteInsert(const InsertStmt& stmt,
                                         const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
   int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [](const std::string& name, const TableDef**,
-                   const std::vector<Row>**) -> Status {
-    return Status::NotFound("table scans not allowed in INSERT: " + name);
-  };
-  Executor exec(lookup, &params, &stats_);
-  Row row(storage->def.columns.size(), Cell::Null());
-  Frame f{nullptr, nullptr, nullptr, nullptr};
-  for (size_t i = 0; i < stmt.columns.size(); ++i) {
-    int idx = storage->def.ColumnIndex(stmt.columns[i]);
-    if (idx < 0) {
-      return Status::NotFound("no such column: " + stmt.columns[i]);
+  Result<int64_t> result = [&]() -> Result<int64_t> {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
     }
-    ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*stmt.values[i], f));
-    row[static_cast<size_t>(idx)] = std::move(v);
-  }
-  ALDSP_RETURN_NOT_OK(CheckRow(storage->def, row));
-  storage->rows.push_back(std::move(row));
-  return 1;
+    auto lookup = [](const std::string& name, const TableDef**,
+                     const std::vector<Row>**) -> Status {
+      return Status::NotFound("table scans not allowed in INSERT: " + name);
+    };
+    Executor exec(lookup, &params, &stats_);
+    Row row(storage->def.columns.size(), Cell::Null());
+    Frame f{nullptr, nullptr, nullptr, nullptr};
+    for (size_t i = 0; i < stmt.columns.size(); ++i) {
+      int idx = storage->def.ColumnIndex(stmt.columns[i]);
+      if (idx < 0) {
+        return Status::NotFound("no such column: " + stmt.columns[i]);
+      }
+      ALDSP_ASSIGN_OR_RETURN(Cell v, exec.EvalPublic(*stmt.values[i], f));
+      row[static_cast<size_t>(idx)] = std::move(v);
+    }
+    ALDSP_RETURN_NOT_OK(CheckRow(storage->def, row));
+    storage->rows.push_back(std::move(row));
+    return 1;
+  }();
+  SimulateLatency(sleep_micros);
+  return result;
 }
 
 Result<int64_t> Database::ExecuteDelete(const DeleteStmt& stmt,
                                         const std::vector<Cell>& params) {
-  std::lock_guard<std::mutex> lock(mutex_);
   int64_t sleep_micros = 0;
-  ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
-  SimulateLatency(sleep_micros);
-  TableStorage* storage = FindStorage(stmt.table_name);
-  if (storage == nullptr) {
-    return Status::NotFound("no such table: " + stmt.table_name);
-  }
-  auto lookup = [this](const std::string& name, const TableDef** def,
-                       const std::vector<Row>** rows) -> Status {
-    const TableStorage* s = FindStorage(name);
-    if (s == nullptr) return Status::NotFound("no such table: " + name);
-    *def = &s->def;
-    *rows = &s->rows;
-    return Status::OK();
-  };
-  Executor exec(lookup, &params, &stats_);
-  Scope scope;
-  std::vector<std::string> cols;
-  for (const auto& c : storage->def.columns) cols.push_back(c.name);
-  scope.entries.push_back({stmt.table_name, 0, cols});
+  Result<int64_t> result = [&]() -> Result<int64_t> {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ALDSP_RETURN_NOT_OK(ChargeStatement(&sleep_micros));
+    TableStorage* storage = FindStorage(stmt.table_name);
+    if (storage == nullptr) {
+      return Status::NotFound("no such table: " + stmt.table_name);
+    }
+    auto lookup = [this](const std::string& name, const TableDef** def,
+                         const std::vector<Row>** rows) -> Status {
+      const TableStorage* s = FindStorage(name);
+      if (s == nullptr) return Status::NotFound("no such table: " + name);
+      *def = &s->def;
+      *rows = &s->rows;
+      return Status::OK();
+    };
+    Executor exec(lookup, &params, &stats_);
+    Scope scope;
+    std::vector<std::string> cols;
+    for (const auto& c : storage->def.columns) cols.push_back(c.name);
+    scope.entries.push_back({stmt.table_name, 0, cols});
 
-  std::vector<Row> kept;
-  int64_t removed = 0;
-  for (auto& row : storage->rows) {
-    bool remove = true;
+    // Decide every row before moving any, so a failing predicate leaves
+    // the table unchanged.
+    std::vector<bool> remove(storage->rows.size(), true);
     if (stmt.where) {
-      Frame f{&scope, &row, nullptr, nullptr};
-      ALDSP_ASSIGN_OR_RETURN(Cell c, exec.EvalPublic(*stmt.where, f));
-      remove = !c.is_null && c.value.AsBoolean();
+      for (size_t i = 0; i < storage->rows.size(); ++i) {
+        Frame f{&scope, &storage->rows[i], nullptr, nullptr};
+        ALDSP_ASSIGN_OR_RETURN(bool match, exec.PredicatePublic(*stmt.where, f));
+        remove[i] = match;
+      }
     }
-    if (remove) {
-      ++removed;
-    } else {
-      kept.push_back(std::move(row));
+    std::vector<Row> kept;
+    int64_t removed = 0;
+    for (size_t i = 0; i < storage->rows.size(); ++i) {
+      if (remove[i]) {
+        ++removed;
+      } else {
+        kept.push_back(std::move(storage->rows[i]));
+      }
     }
-  }
-  storage->rows = std::move(kept);
-  return removed;
+    storage->rows = std::move(kept);
+    return removed;
+  }();
+  SimulateLatency(sleep_micros);
+  return result;
 }
 
 Status Database::Begin() {

@@ -8,7 +8,7 @@ SqlExprPtr SqlExpr::Column(std::string alias, std::string column) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kColumn;
   e->table_alias = std::move(alias);
-  e->column = std::move(column);
+  e->text = std::move(column);
   return e;
 }
 
@@ -29,7 +29,7 @@ SqlExprPtr SqlExpr::Param(int index) {
 SqlExprPtr SqlExpr::Binary(std::string op, SqlExprPtr lhs, SqlExprPtr rhs) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kBinary;
-  e->op = std::move(op);
+  e->text = std::move(op);
   e->args = {std::move(lhs), std::move(rhs)};
   return e;
 }
@@ -53,8 +53,8 @@ SqlExprPtr SqlExpr::Case(std::vector<std::pair<SqlExprPtr, SqlExprPtr>> whens,
                          SqlExprPtr else_expr) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kCase;
-  e->whens = std::move(whens);
-  e->else_expr = std::move(else_expr);
+  e->extra.Mutable().whens = std::move(whens);
+  e->extra->else_expr = std::move(else_expr);
   return e;
 }
 
@@ -69,9 +69,9 @@ SqlExprPtr SqlExpr::Func(SqlFunc f, std::vector<SqlExprPtr> args) {
 SqlExprPtr SqlExpr::Aggregate(SqlAgg agg, SqlExprPtr arg, bool distinct) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kAggregate;
-  e->agg = agg;
+  e->extra.Mutable().agg = agg;
+  e->extra->distinct = distinct;
   if (arg) e->args = {std::move(arg)};
-  e->distinct = distinct;
   return e;
 }
 
@@ -88,7 +88,7 @@ SqlExprPtr SqlExpr::InList(SqlExprPtr probe, std::vector<SqlExprPtr> values,
 SqlExprPtr SqlExpr::Exists(SelectPtr subquery) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kExists;
-  e->subquery = std::move(subquery);
+  e->extra.Mutable().subquery = std::move(subquery);
   return e;
 }
 
@@ -96,7 +96,7 @@ SqlExprPtr SqlExpr::Like(SqlExprPtr input, std::string pattern) {
   auto e = std::make_shared<SqlExpr>();
   e->kind = Kind::kLike;
   e->args = {std::move(input)};
-  e->op = std::move(pattern);
+  e->text = std::move(pattern);
   return e;
 }
 
@@ -104,12 +104,14 @@ SqlExprPtr SqlExpr::Clone() const {
   auto e = std::make_shared<SqlExpr>(*this);
   e->args.clear();
   for (const auto& a : args) e->args.push_back(a ? a->Clone() : nullptr);
-  e->whens.clear();
-  for (const auto& [c, r] : whens) {
-    e->whens.emplace_back(c ? c->Clone() : nullptr, r ? r->Clone() : nullptr);
+  if (extra) {
+    for (auto& [c, r] : e->extra->whens) {
+      if (c) c = c->Clone();
+      if (r) r = r->Clone();
+    }
+    if (extra->else_expr) e->extra->else_expr = extra->else_expr->Clone();
+    if (extra->subquery) e->extra->subquery = extra->subquery->Clone();
   }
-  if (else_expr) e->else_expr = else_expr->Clone();
-  if (subquery) e->subquery = subquery->Clone();
   return e;
 }
 
@@ -244,7 +246,7 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
   switch (e.kind) {
     case SqlExpr::Kind::kColumn:
       if (!e.table_alias.empty()) os << e.table_alias << ".";
-      os << "\"" << e.column << "\"";
+      os << "\"" << e.text << "\"";
       break;
     case SqlExpr::Kind::kLiteral:
       if (e.literal.is_null) {
@@ -261,7 +263,7 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
     case SqlExpr::Kind::kBinary:
       os << "(";
       WriteExpr(*e.args[0], os);
-      os << " " << e.op << " ";
+      os << " " << e.text << " ";
       WriteExpr(*e.args[1], os);
       os << ")";
       break;
@@ -276,15 +278,15 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
       break;
     case SqlExpr::Kind::kCase:
       os << "CASE";
-      for (const auto& [c, r] : e.whens) {
+      for (const auto& [c, r] : e.extra->whens) {
         os << " WHEN ";
         WriteExpr(*c, os);
         os << " THEN ";
         WriteExpr(*r, os);
       }
-      if (e.else_expr) {
+      if (e.extra->else_expr) {
         os << " ELSE ";
-        WriteExpr(*e.else_expr, os);
+        WriteExpr(*e.extra->else_expr, os);
       }
       os << " END";
       break;
@@ -297,11 +299,11 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
       os << ")";
       break;
     case SqlExpr::Kind::kAggregate:
-      os << AggName(e.agg) << "(";
-      if (e.agg == SqlAgg::kCountStar) {
+      os << AggName(e.extra->agg) << "(";
+      if (e.extra->agg == SqlAgg::kCountStar) {
         os << "*";
       } else {
-        if (e.distinct) os << "DISTINCT ";
+        if (e.extra->distinct) os << "DISTINCT ";
         WriteExpr(*e.args[0], os);
       }
       os << ")";
@@ -317,12 +319,12 @@ void WriteExpr(const SqlExpr& e, std::ostringstream& os) {
       break;
     case SqlExpr::Kind::kExists:
       os << "EXISTS(";
-      WriteSelect(*e.subquery, os);
+      WriteSelect(*e.extra->subquery, os);
       os << ")";
       break;
     case SqlExpr::Kind::kLike:
       WriteExpr(*e.args[0], os);
-      os << " LIKE '" << e.op << "'";
+      os << " LIKE '" << e.text << "'";
       break;
   }
 }

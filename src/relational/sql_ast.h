@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/copy_ptr.h"
 #include "relational/cell.h"
 
 namespace aldsp::relational {
@@ -16,7 +17,7 @@ using SelectPtr = std::shared_ptr<SelectStmt>;
 
 /// Scalar SQL functions pushable by ALDSP (paper §4.4 lists string
 /// functions, numeric/date arithmetic, comparisons, aggregates, ...).
-enum class SqlFunc {
+enum class SqlFunc : uint8_t {
   kUpper,
   kLower,
   kSubstr,   // SUBSTR(s, start[, len]) — 1-based
@@ -28,9 +29,24 @@ enum class SqlFunc {
 
 enum class SqlAgg { kCountStar, kCount, kSum, kAvg, kMin, kMax };
 
-/// A scalar SQL expression.
+/// Payload of the SqlExpr kinds that need more than `text` and `args`.
+/// Kept out of line (SqlExpr::extra); each factory of these kinds creates it.
+struct SqlExprExtra {
+  // kCase: whens[i] is (condition, result); else_expr may be null.
+  std::vector<std::pair<SqlExprPtr, SqlExprPtr>> whens;
+  SqlExprPtr else_expr;
+  // kAggregate
+  SqlAgg agg = SqlAgg::kCountStar;
+  bool distinct = false;
+  // kExists
+  SelectPtr subquery;
+};
+
+/// A scalar SQL expression. Fields are shared across kinds (`text`,
+/// `args`) or kept behind `extra`, so pushed-down regions and PP-k
+/// templates held by cached plans stay small.
 struct SqlExpr {
-  enum class Kind {
+  enum class Kind : uint8_t {
     kColumn,     // alias.column
     kLiteral,    // constant (possibly NULL)
     kParam,      // ? parameter, bound at execution time (PP-k, ext. vars)
@@ -46,34 +62,29 @@ struct SqlExpr {
   };
 
   Kind kind;
+  SqlFunc func = SqlFunc::kUpper;  // kFunc
+  bool negated = false;            // kIsNull: IS NOT NULL; kInList: NOT IN
+  int param_index = -1;            // kParam
 
   // kColumn
   std::string table_alias;
-  std::string column;
+
+  // The node's one string. Meaning by kind (empty for the others):
+  //   kColumn: column name
+  //   kBinary: operator token
+  //   kLike: pattern
+  std::string text;
 
   // kLiteral
   Cell literal;
 
-  // kParam
-  int param_index = -1;
-
-  // kBinary / kNot / kIsNull / kFunc / kInList arguments
-  std::string op;  // binary operator token; LIKE pattern for kLike
+  // Operands: kBinary [lhs, rhs]; kNot/kIsNull/kLike [input]; kFunc
+  // arguments; kAggregate [arg] (none for COUNT(*)); kInList [probe,
+  // values...].
   std::vector<SqlExprPtr> args;
-  bool negated = false;  // IS NOT NULL, NOT IN
 
-  // kCase: whens[i] is (condition, result); args holds else at the end if
-  // `has_else`.
-  std::vector<std::pair<SqlExprPtr, SqlExprPtr>> whens;
-  SqlExprPtr else_expr;
-
-  // kFunc / kAggregate
-  SqlFunc func = SqlFunc::kUpper;
-  SqlAgg agg = SqlAgg::kCountStar;
-  bool distinct = false;
-
-  // kExists
-  SelectPtr subquery;
+  // kCase / kAggregate / kExists
+  CopyPtr<SqlExprExtra> extra;
 
   static SqlExprPtr Column(std::string alias, std::string column);
   static SqlExprPtr Literal(Cell value);
@@ -94,6 +105,9 @@ struct SqlExpr {
   /// Deep copy.
   SqlExprPtr Clone() const;
 };
+
+// Cached plans hold pushed-down SQL trees resident (see xquery::Expr).
+static_assert(sizeof(SqlExpr) <= 160, "relational::SqlExpr grew past 160 bytes");
 
 /// FROM-clause item: a base table or a derived table (subselect).
 struct TableRef {

@@ -184,9 +184,9 @@ class Evaluator {
       case ExprKind::kSequence:
         return EvalChildrenConcat(e, env, depth);
       case ExprKind::kVarRef: {
-        const Sequence* v = env.Lookup(e.var_name);
+        const Sequence* v = env.Lookup(e.name);
         if (v == nullptr) {
-          return Status::RuntimeError("unbound variable $" + e.var_name);
+          return Status::RuntimeError("unbound variable $" + e.name);
         }
         return *v;
       }
@@ -212,7 +212,7 @@ class Evaluator {
           }
           value = AtomicValue::String(std::move(joined));
         }
-        return Sequence{Item(XNode::Attribute(e.ctor_name, std::move(value)))};
+        return Sequence{Item(XNode::Attribute(e.name, std::move(value)))};
       }
       case ExprKind::kIf: {
         ALDSP_ASSIGN_OR_RETURN(Sequence c, Eval(*e.children[0], env, depth));
@@ -228,8 +228,8 @@ class Evaluator {
       case ExprKind::kLogical: {
         ALDSP_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0], env, depth));
         ALDSP_ASSIGN_OR_RETURN(bool lb, xml::EffectiveBooleanValue(l));
-        if (e.op == "and" && !lb) return BoolSeq(false);
-        if (e.op == "or" && lb) return BoolSeq(true);
+        if (e.name == "and" && !lb) return BoolSeq(false);
+        if (e.name == "or" && lb) return BoolSeq(true);
         ALDSP_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1], env, depth));
         ALDSP_ASSIGN_OR_RETURN(bool rb, xml::EffectiveBooleanValue(r));
         return BoolSeq(rb);
@@ -240,36 +240,36 @@ class Evaluator {
         ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
         Sequence data = xml::Atomize(v);
         if (data.empty()) {
-          if (e.target_type.allows_empty()) return Sequence{};
+          if (e.extra->target_type.allows_empty()) return Sequence{};
           return Status::RuntimeError("cast of empty sequence to " +
-                                      e.target_type.ToString());
+                                      e.extra->target_type.ToString());
         }
         if (data.size() > 1) {
           return Status::RuntimeError("cast of multi-item sequence");
         }
-        AtomicType target = xsd::AtomizedType(e.target_type);
+        AtomicType target = xsd::AtomizedType(e.extra->target_type);
         ALDSP_ASSIGN_OR_RETURN(AtomicValue out,
                                data.front().atomic().CastTo(target));
         return Sequence{Item(std::move(out))};
       }
       case ExprKind::kInstanceOf: {
         ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
-        return BoolSeq(MatchesType(v, e.target_type));
+        return BoolSeq(MatchesType(v, e.extra->target_type));
       }
       case ExprKind::kCastable: {
         // `x castable as T`: true iff the cast would succeed.
         ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
         Sequence data = xml::Atomize(v);
-        if (data.empty()) return BoolSeq(e.target_type.allows_empty());
+        if (data.empty()) return BoolSeq(e.extra->target_type.allows_empty());
         if (data.size() > 1) return BoolSeq(false);
-        AtomicType target = xsd::AtomizedType(e.target_type);
+        AtomicType target = xsd::AtomizedType(e.extra->target_type);
         return BoolSeq(data.front().atomic().CastTo(target).ok());
       }
       case ExprKind::kTypematch: {
         ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0], env, depth));
-        if (!MatchesType(v, e.target_type)) {
+        if (!MatchesType(v, e.extra->target_type)) {
           return Status::RuntimeError("typematch failed: value is not a " +
-                                      e.target_type.ToString());
+                                      e.extra->target_type.ToString());
         }
         return v;
       }
@@ -279,7 +279,7 @@ class Evaluator {
         return EvalCustomQuery(e, env, depth);
       case ExprKind::kError:
         return Status::RuntimeError("attempt to execute an error expression: " +
-                                    e.error_message);
+                                    e.name);
     }
     return Status::Internal("unhandled expression kind");
   }
@@ -293,7 +293,7 @@ class Evaluator {
 
   static bool IsAsyncCall(const Expr& e) {
     return e.kind == ExprKind::kFunctionCall &&
-           LookupBuiltin(e.fn_name) == Builtin::kAsync;
+           LookupBuiltin(e.name) == Builtin::kAsync;
   }
 
   // True when `e` contains an fn-bea:async call reachable without
@@ -440,7 +440,7 @@ class Evaluator {
                                    int depth) {
     ALDSP_ASSIGN_OR_RETURN(std::vector<Sequence> parts,
                            EvalChildren(e.children, env, depth));
-    NodePtr el = XNode::Element(e.ctor_name);
+    NodePtr el = XNode::Element(e.name);
     // First pass: attach attributes (attribute items may come from any
     // content expression, e.g. a conditional attribute constructor).
     Sequence content;
@@ -489,15 +489,15 @@ class Evaluator {
     Sequence out;
     for (const auto& item : in) {
       if (item.is_atomic()) {
-        return Status::RuntimeError("path step '" + e.step_name +
+        return Status::RuntimeError("path step '" + e.name +
                                     "' applied to an atomic value");
       }
       const NodePtr& node = item.node();
       if (e.is_attribute_step) {
-        NodePtr attr = node->AttributeNamed(e.step_name);
+        NodePtr attr = node->AttributeNamed(e.name);
         if (attr != nullptr) out.emplace_back(attr);
       } else {
-        for (const auto& child : node->ChildrenNamed(e.step_name)) {
+        for (const auto& child : node->ChildrenNamed(e.name)) {
           out.emplace_back(child);
         }
       }
@@ -539,7 +539,7 @@ class Evaluator {
     ALDSP_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1], env, depth));
     // The comparison itself is shared with the batch filter kernel so
     // both paths stay semantically identical.
-    return CompareAtomizedOperands(xml::Atomize(l), xml::Atomize(r), e.op,
+    return CompareAtomizedOperands(xml::Atomize(l), xml::Atomize(r), e.name,
                                    e.general_comparison);
   }
 
@@ -565,7 +565,7 @@ class Evaluator {
     }
     bool both_int = a.type() == AtomicType::kInteger &&
                     b.type() == AtomicType::kInteger;
-    const std::string& op = e.op;
+    const std::string& op = e.name;
     if (op == "idiv" || op == "mod") {
       int64_t x = static_cast<int64_t>(a.NumericAsDouble());
       int64_t y = static_cast<int64_t>(b.NumericAsDouble());
@@ -596,7 +596,7 @@ class Evaluator {
   Result<Sequence> EvalQuantified(const Expr& e, const Tuple& env, int depth) {
     ALDSP_ASSIGN_OR_RETURN(Sequence in, Eval(*e.children[0], env, depth));
     for (const auto& item : in) {
-      Tuple bound = env.Bind(e.var_name2, Sequence{item});
+      Tuple bound = env.Bind(e.name, Sequence{item});
       ALDSP_ASSIGN_OR_RETURN(Sequence s, Eval(*e.children[1], bound, depth));
       ALDSP_ASSIGN_OR_RETURN(bool b, xml::EffectiveBooleanValue(s));
       if (e.is_every && !b) return BoolSeq(false);
@@ -806,15 +806,15 @@ class Evaluator {
 
   Result<Sequence> EvalFunctionCall(const Expr& e, const Tuple& env,
                                     int depth) {
-    Builtin b = LookupBuiltin(e.fn_name);
+    Builtin b = LookupBuiltin(e.name);
     if (b != Builtin::kUnknown) return EvalBuiltin(b, e, env, depth);
     if (ctx_.functions == nullptr) {
       return Status::RuntimeError("no function table in runtime context");
     }
-    if (const UserFunction* fn = ctx_.functions->FindUser(e.fn_name)) {
+    if (const UserFunction* fn = ctx_.functions->FindUser(e.name)) {
       if (!fn->valid || fn->body == nullptr) {
         return Status::RuntimeError("function is not executable: " +
-                                    e.fn_name);
+                                    e.name);
       }
       Tuple call_env;  // user functions see only their parameters
       for (size_t i = 0; i < fn->params.size(); ++i) {
@@ -823,10 +823,10 @@ class Evaluator {
       }
       return Eval(*fn->body, call_env, depth + 1);
     }
-    if (const ExternalFunction* fn = ctx_.functions->FindExternal(e.fn_name)) {
+    if (const ExternalFunction* fn = ctx_.functions->FindExternal(e.name)) {
       return InvokeExternal(*fn, e, env, depth);
     }
-    return Status::RuntimeError("unknown function: " + e.fn_name);
+    return Status::RuntimeError("unknown function: " + e.name);
   }
 
   Result<Sequence> InvokeExternal(const ExternalFunction& fn, const Expr& e,
@@ -895,7 +895,7 @@ class Evaluator {
   }
 
   Result<Sequence> EvalSqlQuery(const Expr& e, const Tuple& env, int depth) {
-    const auto& spec = e.sql;
+    const xquery::SqlQuerySpec* spec = e.sql();
     if (!spec || !spec->select) {
       return Status::Internal("malformed SQL query node");
     }
@@ -943,7 +943,7 @@ class Evaluator {
   // applies the conjuncts and returns only matching items.
   Result<Sequence> EvalCustomQuery(const Expr& e, const Tuple& env,
                                    int depth) {
-    if (!e.custom) return Status::Internal("malformed custom query node");
+    if (e.custom() == nullptr) return Status::Internal("malformed custom query node");
     std::vector<AtomicValue> params;
     for (const auto& c : e.children) {
       ALDSP_ASSIGN_OR_RETURN(Sequence v, Eval(*c, env, depth));
@@ -957,22 +957,22 @@ class Evaluator {
     if (ctx_.adaptors == nullptr) {
       return Status::SourceError("no adaptor registry in runtime context");
     }
-    Adaptor* adaptor = ctx_.adaptors->Find(e.custom->source);
+    Adaptor* adaptor = ctx_.adaptors->Find(e.custom()->source);
     if (adaptor == nullptr) {
       return Status::SourceError("no adaptor for source '" +
-                                 e.custom->source + "'");
+                                 e.custom()->source + "'");
     }
-    ALDSP_RETURN_NOT_OK(GateSource(ctx_, e.custom->source));
+    ALDSP_RETURN_NOT_OK(GateSource(ctx_, e.custom()->source));
     if (ctx_.stats != nullptr) ctx_.stats->source_invocations += 1;
     auto t0 = std::chrono::steady_clock::now();
-    Result<Sequence> invoked = adaptor->InvokeFiltered(*e.custom, params);
+    Result<Sequence> invoked = adaptor->InvokeFiltered(*e.custom(), params);
     int64_t micros = MicrosSince(t0);
     ObserveSourceCall(ctx_, QueryTrace::EventKind::kCustomPushdown,
-                      e.custom->source, nullptr, "",
+                      e.custom()->source, nullptr, "",
                       invoked.ok() ? static_cast<int64_t>(invoked->size()) : 0,
                       micros, invoked.ok(), [&] {
-                        std::string detail = e.custom->function;
-                        for (const auto& c : e.custom->conjuncts) {
+                        std::string detail = e.custom()->function;
+                        for (const auto& c : e.custom()->conjuncts) {
                           detail += " [" + c.attribute + " " + c.op + " ?]";
                         }
                         return detail;
@@ -996,19 +996,19 @@ class Evaluator {
                       std::set<std::string>* visited_fns) const {
     switch (e.kind) {
       case ExprKind::kSqlQuery:
-        if (e.sql) out->insert(e.sql->source);
+        if (e.sql()) out->insert(e.sql()->source);
         break;
       case ExprKind::kCustomQuery:
-        if (e.custom) out->insert(e.custom->source);
+        if (e.custom()) out->insert(e.custom()->source);
         break;
       case ExprKind::kFunctionCall:
         if (ctx_.functions != nullptr) {
           if (const ExternalFunction* fn =
-                  ctx_.functions->FindExternal(e.fn_name)) {
+                  ctx_.functions->FindExternal(e.name)) {
             out->insert(fn->Property("source"));
           } else if (const UserFunction* fn =
-                         ctx_.functions->FindUser(e.fn_name)) {
-            if (fn->body != nullptr && visited_fns->insert(e.fn_name).second) {
+                         ctx_.functions->FindUser(e.name)) {
+            if (fn->body != nullptr && visited_fns->insert(e.name).second) {
               CollectSources(*fn->body, out, visited_fns);
             }
           }

@@ -156,7 +156,7 @@ Status KernelEvalVarRef(const Expr& e, const TupleBatch& batch,
   // Resolve the name once per batch: innermost column wins, else the
   // row base chains (a shared-base binding resolves per row but the
   // Lookup is a short linear scan over the chain head).
-  const BatchColumn* col = batch.FindColumn(e.var_name);
+  const BatchColumn* col = batch.FindColumn(e.name);
   if (col != nullptr) {
     for (size_t i = 0; i < n; ++i) {
       (*out)[i] = col->Value(batch.PhysicalIndex(i));
@@ -164,9 +164,9 @@ Status KernelEvalVarRef(const Expr& e, const TupleBatch& batch,
     return Status::OK();
   }
   for (size_t i = 0; i < n; ++i) {
-    const Sequence* v = batch.RowBase(i).Lookup(e.var_name);
+    const Sequence* v = batch.RowBase(i).Lookup(e.name);
     if (v == nullptr) {
-      return Status::RuntimeError("unbound variable $" + e.var_name);
+      return Status::RuntimeError("unbound variable $" + e.name);
     }
     (*out)[i] = *v;
   }
@@ -179,12 +179,12 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, Sequence* out) {
   out->clear();
   for (const auto& item : in) {
     if (item.is_atomic()) {
-      return Status::RuntimeError("path step '" + e.step_name +
+      return Status::RuntimeError("path step '" + e.name +
                                   "' applied to an atomic value");
     }
     const xml::NodePtr& node = item.node();
     if (e.is_attribute_step) {
-      xml::NodePtr attr = node->AttributeNamed(e.step_name);
+      xml::NodePtr attr = node->AttributeNamed(e.name);
       if (attr != nullptr) out->emplace_back(attr);
     } else {
       // Walk the child list directly instead of ChildrenNamed: the batch
@@ -192,7 +192,7 @@ Status ApplyPathStep(const Expr& e, const Sequence& in, Sequence* out) {
       // convenience accessor returns is pure allocation overhead here.
       for (const auto& child : node->children()) {
         if (child->kind() == xml::NodeKind::kElement &&
-            xml::NameMatches(child->name(), e.step_name)) {
+            xml::NameMatches(child->name(), e.name)) {
           out->emplace_back(child);
         }
       }
@@ -221,10 +221,10 @@ Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
         // Fused step-over-variable, the dominant kernel shape: read the
         // stored sequence by pointer and write children straight into the
         // (capacity-reusing) output slot — no per-row copy of the source.
-        const BatchColumn* col = batch.FindColumn(source.var_name);
+        const BatchColumn* col = batch.FindColumn(source.name);
         if (col != nullptr && col->atomic()) {
           if (n == 0) return Status::OK();
-          return Status::RuntimeError("path step '" + e.step_name +
+          return Status::RuntimeError("path step '" + e.name +
                                       "' applied to an atomic value");
         }
         for (size_t i = 0; i < n; ++i) {
@@ -232,10 +232,10 @@ Status KernelEvalRows(const Expr& e, const TupleBatch& batch,
           if (col != nullptr) {
             src = &col->seqs[batch.PhysicalIndex(i)];
           } else {
-            src = batch.RowBase(i).Lookup(source.var_name);
+            src = batch.RowBase(i).Lookup(source.name);
             if (src == nullptr) {
               return Status::RuntimeError("unbound variable $" +
-                                          source.var_name);
+                                          source.name);
             }
           }
           ALDSP_RETURN_NOT_OK(ApplyPathStep(e, *src, &(*out)[i]));

@@ -376,7 +376,7 @@ class FilterOp final : public PhysicalOperator {
       ALDSP_RETURN_NOT_OK(KernelEvalRows(*p.children[1], *out, &rhs_));
       for (size_t i = 0; i < n; ++i) {
         ALDSP_ASSIGN_OR_RETURN(bool ok,
-                               CompareOperandsToBool(lhs_[i], rhs_[i], p.op,
+                               CompareOperandsToBool(lhs_[i], rhs_[i], p.name,
                                                      p.general_comparison));
         if (ok) keep.push_back(static_cast<uint32_t>(out->PhysicalIndex(i)));
       }

@@ -11,12 +11,15 @@ using xml::XNode;
 void AuditLog::Record(const std::string& category, const std::string& user,
                       const std::string& detail) {
   std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back({next_sequence_++, category, user, detail});
+  int64_t sequence = next_sequence_++;
+  if (capacity_ == 0) return;
+  if (events_.size() >= capacity_) events_.pop_front();
+  events_.push_back({sequence, category, user, detail});
 }
 
 std::vector<AuditLog::Event> AuditLog::Events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  return std::vector<Event>(events_.begin(), events_.end());
 }
 
 std::vector<AuditLog::Event> AuditLog::EventsInCategory(

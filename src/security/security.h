@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <set>
 #include <string>
@@ -49,9 +50,13 @@ struct FunctionAcl {
 };
 
 /// Auditing security service (paper §7): records security decisions and
-/// operational events for administrative monitoring.
+/// operational events for administrative monitoring. A bounded ring: the
+/// oldest events are dropped past `capacity`, while sequence numbers keep
+/// counting, so a gap in them shows how many were dropped.
 class AuditLog {
  public:
+  explicit AuditLog(size_t capacity = 1024) : capacity_(capacity) {}
+
   struct Event {
     int64_t sequence;
     std::string category;  // "access-denied", "redaction", "query", ...
@@ -64,11 +69,13 @@ class AuditLog {
   std::vector<Event> Events() const;
   std::vector<Event> EventsInCategory(const std::string& category) const;
   size_t size() const;
+  size_t capacity() const { return capacity_; }
   void Clear();
 
  private:
   mutable std::mutex mutex_;
-  std::vector<Event> events_;
+  size_t capacity_;
+  std::deque<Event> events_;
   std::atomic<int64_t> next_sequence_{1};
 };
 

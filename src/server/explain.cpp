@@ -52,33 +52,33 @@ std::vector<runtime::physical::ExplainNode> DescribeFLWOR(
 std::string ExprLabel(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kSqlQuery:
-      return "sql[" + e.sql->source + "] " +
-             relational::DebugString(*e.sql->select);
+      return "sql[" + e.sql()->source + "] " +
+             relational::DebugString(*e.sql()->select);
     case ExprKind::kCustomQuery: {
       std::string label =
-          "custom-pushdown[" + e.custom->source + "] " + e.custom->function;
-      for (const auto& c : e.custom->conjuncts) {
+          "custom-pushdown[" + e.custom()->source + "] " + e.custom()->function;
+      for (const auto& c : e.custom()->conjuncts) {
         label += " [" + c.attribute + " " + c.op + " ?]";
       }
       return label;
     }
     case ExprKind::kFunctionCall:
-      return "call " + e.fn_name;
+      return "call " + e.name;
     case ExprKind::kVarRef:
-      return "$" + e.var_name;
+      return "$" + e.name;
     case ExprKind::kLiteral:
       return "literal " + e.literal.Lexical();
     case ExprKind::kElementCtor:
-      return "element <" + e.ctor_name + ">";
+      return "element <" + e.name + ">";
     case ExprKind::kAttributeCtor:
-      return "attribute " + e.ctor_name;
+      return "attribute " + e.name;
     case ExprKind::kPathStep:
       return std::string("step ") + (e.is_attribute_step ? "@" : "") +
-             e.step_name;
+             e.name;
     case ExprKind::kComparison:
     case ExprKind::kArith:
     case ExprKind::kLogical:
-      return std::string(xquery::ExprKindName(e.kind)) + " " + e.op;
+      return std::string(xquery::ExprKindName(e.kind)) + " " + e.name;
     default:
       return xquery::ExprKindName(e.kind);
   }

@@ -84,7 +84,7 @@ void MixSql(uint64_t* h, const relational::SqlExpr& e) {
   switch (e.kind) {
     case Kind::kColumn:
       Mix(h, e.table_alias);
-      Mix(h, e.column);
+      Mix(h, e.text);
       return;
     case Kind::kLiteral:
       Mix(h, "?");  // value stripped
@@ -95,26 +95,27 @@ void MixSql(uint64_t* h, const relational::SqlExpr& e) {
     default:
       break;
   }
-  Mix(h, e.op);
+  Mix(h, e.text);  // operator token or LIKE pattern
   Mix(h, static_cast<int64_t>(e.negated));
   if (e.kind == Kind::kFunc) Mix(h, static_cast<int64_t>(e.func));
   if (e.kind == Kind::kAggregate) {
-    Mix(h, static_cast<int64_t>(e.agg));
-    Mix(h, static_cast<int64_t>(e.distinct));
+    Mix(h, static_cast<int64_t>(e.extra->agg));
+    Mix(h, static_cast<int64_t>(e.extra->distinct));
   }
   for (const auto& a : e.args) {
     if (a) MixSql(h, *a);
   }
-  for (const auto& [cond, result] : e.whens) {
+  if (!e.extra) return;
+  for (const auto& [cond, result] : e.extra->whens) {
     Mix(h, "when");
     if (cond) MixSql(h, *cond);
     if (result) MixSql(h, *result);
   }
-  if (e.else_expr) {
+  if (e.extra->else_expr) {
     Mix(h, "else");
-    MixSql(h, *e.else_expr);
+    MixSql(h, *e.extra->else_expr);
   }
-  if (e.subquery) MixSqlSelect(h, *e.subquery);
+  if (e.extra->subquery) MixSqlSelect(h, *e.extra->subquery);
 }
 
 void MixExpr(uint64_t* h, const Expr& e);
@@ -158,38 +159,32 @@ void MixExpr(uint64_t* h, const Expr& e) {
       Mix(h, "?");  // value stripped
       return;       // literals have no children
     case ExprKind::kVarRef:
-      Mix(h, e.var_name);
-      break;
     case ExprKind::kFunctionCall:
-      Mix(h, e.fn_name);
-      break;
-    case ExprKind::kPathStep:
-      Mix(h, e.step_name);
-      Mix(h, static_cast<int64_t>(e.is_attribute_step));
-      break;
     case ExprKind::kElementCtor:
     case ExprKind::kAttributeCtor:
-      Mix(h, e.ctor_name);
-      break;
     case ExprKind::kComparison:
     case ExprKind::kArith:
     case ExprKind::kLogical:
-      Mix(h, e.op);
+      Mix(h, e.name);
+      break;
+    case ExprKind::kPathStep:
+      Mix(h, e.name);
+      Mix(h, static_cast<int64_t>(e.is_attribute_step));
       break;
     case ExprKind::kQuantified:
-      Mix(h, e.var_name);
+      Mix(h, "");  // the bound name is hashed where the body refers to it
       break;
     case ExprKind::kSqlQuery:
-      if (e.sql) {
-        Mix(h, e.sql->source);
-        if (e.sql->select) MixSqlSelect(h, *e.sql->select);
+      if (const auto* sql = e.sql()) {
+        Mix(h, sql->source);
+        if (sql->select) MixSqlSelect(h, *sql->select);
       }
       break;
     case ExprKind::kCustomQuery:
-      if (e.custom) {
-        Mix(h, e.custom->source);
-        Mix(h, e.custom->function);
-        for (const auto& c : e.custom->conjuncts) {
+      if (const auto* custom = e.custom()) {
+        Mix(h, custom->source);
+        Mix(h, custom->function);
+        for (const auto& c : custom->conjuncts) {
           Mix(h, c.attribute);
           Mix(h, c.op);
         }
@@ -277,37 +272,31 @@ void MixStmtExpr(uint64_t* h, const Expr& e) {
       MixStmtFLWOR(h, e);
       return;  // clauses + return already walked
     case ExprKind::kVarRef:
-      Mix(h, e.var_name);
-      break;
     case ExprKind::kFunctionCall:
-      Mix(h, e.fn_name);
-      break;
-    case ExprKind::kPathStep:
-      Mix(h, e.step_name);
-      Mix(h, static_cast<int64_t>(e.is_attribute_step));
-      break;
     case ExprKind::kElementCtor:
     case ExprKind::kAttributeCtor:
-      Mix(h, e.ctor_name);
-      break;
     case ExprKind::kComparison:
     case ExprKind::kArith:
     case ExprKind::kLogical:
-      Mix(h, e.op);
+      Mix(h, e.name);
+      break;
+    case ExprKind::kPathStep:
+      Mix(h, e.name);
+      Mix(h, static_cast<int64_t>(e.is_attribute_step));
       break;
     case ExprKind::kQuantified:
-      Mix(h, e.var_name);
+      Mix(h, "");  // the bound name is hashed where the body refers to it
       break;
     case ExprKind::kSqlQuery:
-      if (e.sql) {
-        Mix(h, e.sql->source);
-        if (e.sql->select) MixSqlSelect(h, *e.sql->select);
+      if (const auto* sql = e.sql()) {
+        Mix(h, sql->source);
+        if (sql->select) MixSqlSelect(h, *sql->select);
       }
       break;
     case ExprKind::kCustomQuery:
-      if (e.custom) {
-        Mix(h, e.custom->source);
-        Mix(h, e.custom->function);
+      if (const auto* custom = e.custom()) {
+        Mix(h, custom->source);
+        Mix(h, custom->function);
       }
       break;
     default:

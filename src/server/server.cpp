@@ -32,11 +32,11 @@ void CollectCalledFunctions(const xquery::ExprPtr& e,
   if (e->kind == xquery::ExprKind::kFunctionCall) {
     bool seen = false;
     for (const auto& f : *out) {
-      if (f == e->fn_name) seen = true;
+      if (f == e->name) seen = true;
     }
     if (!seen) {
-      out->push_back(e->fn_name);
-      const compiler::UserFunction* fn = functions.FindUser(e->fn_name);
+      out->push_back(e->name);
+      const compiler::UserFunction* fn = functions.FindUser(e->name);
       if (fn != nullptr && fn->body != nullptr) {
         CollectCalledFunctions(fn->body, functions, out);
       }
@@ -52,6 +52,7 @@ void CollectCalledFunctions(const xquery::ExprPtr& e,
 DataServicePlatform::DataServicePlatform(ServerOptions options)
     : options_(std::move(options)),
       view_cache_(options_.view_plan_cache_size),
+      audit_(options_.audit_log_capacity),
       health_(options_.circuit_breaker),
       exec_audit_(options_.audit_log_capacity),
       slow_queries_(options_.slow_query_log_capacity),

@@ -89,7 +89,8 @@ struct ServerOptions {
 
   // ----- Always-on observability plane ---------------------------------
 
-  /// Retained execution audit records (bounded ring).
+  /// Retained execution audit records, and retained security audit events
+  /// (audit_log()): each is a bounded ring of this many entries.
   size_t audit_log_capacity = 1024;
   /// Retained slow-query captures (bounded ring).
   size_t slow_query_log_capacity = 64;

@@ -264,7 +264,7 @@ class Writer {
     switch (e.kind) {
       case SqlExpr::Kind::kColumn:
         if (!e.table_alias.empty()) os << e.table_alias << ".";
-        os << Ident(e.column);
+        os << Ident(e.text);
         return Status::OK();
       case SqlExpr::Kind::kLiteral:
         if (e.literal.is_null) {
@@ -290,7 +290,7 @@ class Writer {
       case SqlExpr::Kind::kBinary: {
         os << "(";
         ALDSP_RETURN_NOT_OK(WriteExpr(*e.args[0], os));
-        os << " " << e.op << " ";
+        os << " " << e.text << " ";
         ALDSP_RETURN_NOT_OK(WriteExpr(*e.args[1], os));
         os << ")";
         return Status::OK();
@@ -306,15 +306,15 @@ class Writer {
         return Status::OK();
       case SqlExpr::Kind::kCase:
         os << "CASE";
-        for (const auto& [c, r] : e.whens) {
+        for (const auto& [c, r] : e.extra->whens) {
           os << " WHEN ";
           ALDSP_RETURN_NOT_OK(WriteExpr(*c, os));
           os << " THEN ";
           ALDSP_RETURN_NOT_OK(WriteExpr(*r, os));
         }
-        if (e.else_expr) {
+        if (e.extra->else_expr) {
           os << " ELSE ";
-          ALDSP_RETURN_NOT_OK(WriteExpr(*e.else_expr, os));
+          ALDSP_RETURN_NOT_OK(WriteExpr(*e.extra->else_expr, os));
         }
         os << " END";
         return Status::OK();
@@ -322,7 +322,7 @@ class Writer {
         return WriteFunc(e, os);
       case SqlExpr::Kind::kAggregate: {
         const char* name;
-        switch (e.agg) {
+        switch (e.extra->agg) {
           case SqlAgg::kCountStar:
           case SqlAgg::kCount:
             name = "COUNT";
@@ -341,10 +341,10 @@ class Writer {
             break;
         }
         os << name << "(";
-        if (e.agg == SqlAgg::kCountStar) {
+        if (e.extra->agg == SqlAgg::kCountStar) {
           os << "*";
         } else {
-          if (e.distinct) os << "DISTINCT ";
+          if (e.extra->distinct) os << "DISTINCT ";
           ALDSP_RETURN_NOT_OK(WriteExpr(*e.args[0], os));
         }
         os << ")";
@@ -362,13 +362,13 @@ class Writer {
       }
       case SqlExpr::Kind::kExists:
         os << "EXISTS(";
-        ALDSP_RETURN_NOT_OK(WriteSelectCore(*e.subquery, os, false));
+        ALDSP_RETURN_NOT_OK(WriteSelectCore(*e.extra->subquery, os, false));
         os << ")";
         return Status::OK();
       case SqlExpr::Kind::kLike: {
         ALDSP_RETURN_NOT_OK(WriteExpr(*e.args[0], os));
         std::string escaped;
-        for (char c : e.op) {
+        for (char c : e.text) {
           escaped += c;
           if (c == '\'') escaped += '\'';
         }

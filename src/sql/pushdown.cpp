@@ -60,10 +60,11 @@ bool ContainsAggregate(const SqlExprPtr& e) {
   for (const auto& a : e->args) {
     if (ContainsAggregate(a)) return true;
   }
-  for (const auto& [c, r] : e->whens) {
+  if (!e->extra) return false;
+  for (const auto& [c, r] : e->extra->whens) {
     if (ContainsAggregate(c) || ContainsAggregate(r)) return true;
   }
-  return ContainsAggregate(e->else_expr);
+  return ContainsAggregate(e->extra->else_expr);
 }
 
 /// Pending pattern-(c)/(g) state while a region's return expression is
@@ -155,7 +156,7 @@ class PushdownPass {
     });
     ALDSP_RETURN_NOT_OK(st);
     if (e->kind == ExprKind::kFunctionCall &&
-        LookupBuiltin(e->fn_name) == Builtin::kSubsequence) {
+        LookupBuiltin(e->name) == Builtin::kSubsequence) {
       TryPushRange(e);
     }
     return Status::OK();
@@ -167,7 +168,7 @@ class PushdownPass {
     if (e.kind != ExprKind::kFunctionCall || !e.children.empty()) {
       return nullptr;
     }
-    const ExternalFunction* fn = functions_->FindExternal(e.fn_name);
+    const ExternalFunction* fn = functions_->FindExternal(e.name);
     if (fn == nullptr || fn->kind() != "relational") return nullptr;
     if (fn->return_type.item == nullptr ||
         fn->return_type.item->kind() != XType::Kind::kElement ||
@@ -203,7 +204,7 @@ class PushdownPass {
         continue;
       }
       if ((*cur)->kind == ExprKind::kFunctionCall &&
-          LookupBuiltin((*cur)->fn_name) == Builtin::kData &&
+          LookupBuiltin((*cur)->name) == Builtin::kData &&
           (*cur)->children.size() == 1) {
         cur = &(*cur)->children[0];
         continue;
@@ -227,7 +228,7 @@ class PushdownPass {
         return TypedSql{SqlExpr::Literal(Cell::Of(e->literal)),
                         e->literal.type()};
       case ExprKind::kVarRef: {
-        auto it = ctx.var_sql.find(e->var_name);
+        auto it = ctx.var_sql.find(e->name);
         if (it != ctx.var_sql.end()) {
           return TypedSql{it->second.sql->Clone(), it->second.type};
         }
@@ -237,16 +238,16 @@ class PushdownPass {
         if (e->is_attribute_step) return TryParam(raw, ctx);
         const ExprPtr& base = e->children[0];
         if (base->kind == ExprKind::kVarRef) {
-          const AliasBinding* a = ctx.FindAlias(base->var_name);
+          const AliasBinding* a = ctx.FindAlias(base->name);
           if (a != nullptr) {
-            if (!a->row_type || a->row_type->FindField(e->step_name) == nullptr) {
+            if (!a->row_type || a->row_type->FindField(e->name) == nullptr) {
               return TypedSql::No();
             }
-            return TypedSql{SqlExpr::Column(a->alias, e->step_name),
-                            ColumnType(a->row_type, e->step_name)};
+            return TypedSql{SqlExpr::Column(a->alias, e->name),
+                            ColumnType(a->row_type, e->name)};
           }
           // Group-variable column: only meaningful inside an aggregate.
-          auto g = ctx.groupvar_alias.find(base->var_name);
+          auto g = ctx.groupvar_alias.find(base->name);
           if (g != ctx.groupvar_alias.end()) {
             if (!ctx.in_aggregate) return TypedSql::No();
             const AliasBinding* ga = nullptr;
@@ -254,11 +255,11 @@ class PushdownPass {
               if (ab.alias == g->second) ga = &ab;
             }
             if (ga == nullptr ||
-                ga->row_type->FindField(e->step_name) == nullptr) {
+                ga->row_type->FindField(e->name) == nullptr) {
               return TypedSql::No();
             }
-            return TypedSql{SqlExpr::Column(g->second, e->step_name),
-                            ColumnType(ga->row_type, e->step_name)};
+            return TypedSql{SqlExpr::Column(g->second, e->name),
+                            ColumnType(ga->row_type, e->name)};
           }
         }
         return TryParam(raw, ctx);
@@ -268,7 +269,7 @@ class PushdownPass {
             {"eq", "="},  {"ne", "<>"}, {"lt", "<"},  {"le", "<="},
             {"gt", ">"},  {"ge", ">="}, {"=", "="},   {"!=", "<>"},
             {"<", "<"},   {"<=", "<="}, {">", ">"},   {">=", ">="}};
-        auto op = kOps.find(e->op);
+        auto op = kOps.find(e->name);
         if (op == kOps.end()) return TryParam(raw, ctx);
         if (e->general_comparison) {
           // General comparisons push only when both sides are at most
@@ -291,11 +292,11 @@ class PushdownPass {
         ALDSP_ASSIGN_OR_RETURN(TypedSql r, Translate(e->children[1], ctx));
         if (!r.ok()) return TryParam(raw, ctx);
         return TypedSql{
-            SqlExpr::Binary(e->op == "and" ? "AND" : "OR", l.sql, r.sql),
+            SqlExpr::Binary(e->name == "and" ? "AND" : "OR", l.sql, r.sql),
             AtomicType::kBoolean};
       }
       case ExprKind::kArith: {
-        std::string op = e->op;
+        std::string op = e->name;
         if (op == "idiv") return TryParam(raw, ctx);
         ALDSP_ASSIGN_OR_RETURN(TypedSql l, Translate(e->children[0], ctx));
         if (!l.ok()) return TryParam(raw, ctx);
@@ -335,7 +336,7 @@ class PushdownPass {
 
   Result<TypedSql> TranslateCall(const ExprPtr& raw, const ExprPtr& e,
                                  RegionContext& ctx) {
-    Builtin b = LookupBuiltin(e->fn_name);
+    Builtin b = LookupBuiltin(e->name);
     auto translate_args = [&](std::vector<SqlExprPtr>* out) -> Result<bool> {
       for (const auto& c : e->children) {
         ALDSP_ASSIGN_OR_RETURN(TypedSql t, Translate(c, ctx));
@@ -456,7 +457,7 @@ class PushdownPass {
     if (!ctx.grouped) return TryParam(raw, ctx);
     const ExprPtr& arg = UnwrapData(e->children[0]);
     if (b == Builtin::kCount && arg->kind == ExprKind::kVarRef &&
-        ctx.groupvar_alias.count(arg->var_name) > 0) {
+        ctx.groupvar_alias.count(arg->name) > 0) {
       return TypedSql{SqlExpr::Aggregate(SqlAgg::kCountStar, nullptr),
                       AtomicType::kInteger};
     }
@@ -502,7 +503,7 @@ class PushdownPass {
       return TryParam(e, ctx);
     }
     std::string alias = ctx.NewAlias();
-    ctx.aliases.push_back({e->var_name2, alias, fn->return_type.item});
+    ctx.aliases.push_back({e->name, alias, fn->return_type.item});
     SqlExprPtr cond;
     auto and_into = [&](SqlExprPtr p) {
       cond = cond ? SqlExpr::Binary("AND", cond, std::move(p)) : std::move(p);
@@ -643,7 +644,7 @@ class PushdownPass {
     if (src->kind != ExprKind::kFunctionCall || src->children.size() != 1) {
       return nullptr;
     }
-    const ExternalFunction* nav = functions_->FindExternal(src->fn_name);
+    const ExternalFunction* nav = functions_->FindExternal(src->name);
     if (nav == nullptr || nav->kind() != "relational-nav" ||
         nav->Property("source") != ctx.source) {
       return nullptr;
@@ -651,7 +652,7 @@ class PushdownPass {
     const ExprPtr* arg = &src->children[0];
     while ((*arg)->kind == ExprKind::kTypematch) arg = &(*arg)->children[0];
     if ((*arg)->kind != ExprKind::kVarRef ||
-        ctx.FindAlias((*arg)->var_name) == nullptr) {
+        ctx.FindAlias((*arg)->name) == nullptr) {
       return nullptr;
     }
     const ExternalFunction* table_fn = nullptr;
@@ -699,13 +700,13 @@ class PushdownPass {
         if (r == nullptr) return nullptr;
         content.push_back(std::move(r));
       }
-      return xquery::MakeElementCtor(src->ctor_name, std::move(content), false,
+      return xquery::MakeElementCtor(src->name, std::move(content), false,
                                      src->loc);
     }
     if (src->kind == ExprKind::kAttributeCtor) {
       Result<TypedSql> v = Translate(src->children[0], ctx);
       if (!v.ok() || !v->ok()) return nullptr;
-      return xquery::MakeAttributeCtor(src->ctor_name, out.AddScalar(*v),
+      return xquery::MakeAttributeCtor(src->name, out.AddScalar(*v),
                                        false, src->loc);
     }
     if (src->kind == ExprKind::kSequence) {
@@ -722,14 +723,14 @@ class PushdownPass {
     // (conditionally, since NULL means absent).
     if (src->kind == ExprKind::kPathStep && !src->is_attribute_step &&
         src->children[0]->kind == ExprKind::kVarRef) {
-      const AliasBinding* a = ctx.FindAlias(src->children[0]->var_name);
+      const AliasBinding* a = ctx.FindAlias(src->children[0]->name);
       if (a != nullptr && a->row_type &&
-          a->row_type->FindField(src->step_name) != nullptr) {
-        TypedSql t{SqlExpr::Column(a->alias, src->step_name),
-                   ColumnType(a->row_type, src->step_name)};
+          a->row_type->FindField(src->name) != nullptr) {
+        TypedSql t{SqlExpr::Column(a->alias, src->name),
+                   ColumnType(a->row_type, src->name)};
         std::string col = out.AddScalarColumn(t);
         ExprPtr ctor = xquery::MakeElementCtor(
-            src->step_name, {out.DataRef(col)}, false, src->loc);
+            src->name, {out.DataRef(col)}, false, src->loc);
         ExprPtr cond = xquery::MakeFunctionCall("fn:exists", {out.ColRef(col)},
                                                 src->loc);
         return xquery::MakeIf(std::move(cond), std::move(ctor),
@@ -756,7 +757,7 @@ class PushdownPass {
     if (src->kind != ExprKind::kFunctionCall || src->children.empty()) {
       return TypedSql::No();
     }
-    Builtin b = LookupBuiltin(src->fn_name);
+    Builtin b = LookupBuiltin(src->name);
     if (b != Builtin::kCount && b != Builtin::kSum && b != Builtin::kAvg &&
         b != Builtin::kMin && b != Builtin::kMax) {
       return TypedSql::No();
@@ -783,8 +784,8 @@ class PushdownPass {
       // Aggregate over a column of the nested rows.
       if (ret->kind != ExprKind::kPathStep ||
           ret->children[0]->kind != ExprKind::kVarRef ||
-          ret->children[0]->var_name != arg->clauses[0].var ||
-          !row_type || row_type->FindField(ret->step_name) == nullptr) {
+          ret->children[0]->name != arg->clauses[0].var ||
+          !row_type || row_type->FindField(ret->name) == nullptr) {
         RollbackJoin(ctx);
         return TypedSql::No();
       }
@@ -793,9 +794,9 @@ class PushdownPass {
                     : b == Builtin::kMin ? SqlAgg::kMin
                                          : SqlAgg::kMax;
       AtomicType t = b == Builtin::kAvg ? AtomicType::kDouble
-                                        : ColumnType(row_type, ret->step_name);
+                                        : ColumnType(row_type, ret->name);
       SqlExprPtr agg_sql =
-          SqlExpr::Aggregate(sagg, SqlExpr::Column(alias, ret->step_name));
+          SqlExpr::Aggregate(sagg, SqlExpr::Column(alias, ret->name));
       if (b == Builtin::kSum) {
         // XQuery fn:sum(()) is 0, but SQL SUM over an empty (outer-join
         // padded) group is NULL: coalesce to match.
@@ -859,7 +860,7 @@ class PushdownPass {
   ExprPtr RebuildRowReturn(const ExprPtr& src, RegionContext& ctx,
                            OutputTable& out) {
     if (src->kind == ExprKind::kVarRef) {
-      const AliasBinding* a = ctx.FindAlias(src->var_name);
+      const AliasBinding* a = ctx.FindAlias(src->name);
       if (a == nullptr || !a->row_type) return nullptr;
       // The whole nested row: rebuild <TABLE> with every column.
       std::vector<ExprPtr> content;
@@ -885,7 +886,7 @@ class PushdownPass {
         if (r == nullptr) return nullptr;
         content.push_back(std::move(r));
       }
-      return xquery::MakeElementCtor(src->ctor_name, std::move(content), false,
+      return xquery::MakeElementCtor(src->name, std::move(content), false,
                                      src->loc);
     }
     if (src->kind == ExprKind::kSequence) {
@@ -899,13 +900,13 @@ class PushdownPass {
     }
     if (src->kind == ExprKind::kPathStep && !src->is_attribute_step &&
         src->children[0]->kind == ExprKind::kVarRef) {
-      const AliasBinding* a = ctx.FindAlias(src->children[0]->var_name);
+      const AliasBinding* a = ctx.FindAlias(src->children[0]->name);
       if (a != nullptr && a->row_type &&
-          a->row_type->FindField(src->step_name) != nullptr) {
+          a->row_type->FindField(src->name) != nullptr) {
         std::string col = out.AddScalarColumn(
-            {SqlExpr::Column(a->alias, src->step_name),
-             ColumnType(a->row_type, src->step_name)});
-        ExprPtr ctor = xquery::MakeElementCtor(src->step_name,
+            {SqlExpr::Column(a->alias, src->name),
+             ColumnType(a->row_type, src->name)});
+        ExprPtr ctor = xquery::MakeElementCtor(src->name,
                                                {out.DataRef(col)}, false,
                                                src->loc);
         ExprPtr cond =
@@ -950,8 +951,8 @@ class PushdownPass {
       const ExprPtr& p = UnwrapData(pred);
       if (p->kind == ExprKind::kPathStep &&
           p->children[0]->kind == ExprKind::kVarRef &&
-          p->children[0]->var_name == first.var) {
-        right_col = p->step_name;
+          p->children[0]->name == first.var) {
+        right_col = p->name;
       }
     };
     // Conditions from the join clause itself (if the optimizer already
@@ -986,7 +987,7 @@ class PushdownPass {
         // Track equi columns.
         const ExprPtr& pe = cl.expr;
         if (pe->kind == ExprKind::kComparison &&
-            (pe->op == "eq" || pe->op == "=")) {
+            (pe->name == "eq" || pe->name == "=")) {
           note_right_col(pe->children[0]);
           note_right_col(pe->children[1]);
         }
@@ -1310,12 +1311,12 @@ class PushdownPass {
       }
       count = e->children[2]->literal.AsInteger();
     }
-    auto vendor_it = vendor_by_spec_.find(cl.expr->sql.get());
+    auto vendor_it = vendor_by_spec_.find(cl.expr->sql());
     std::string vendor =
         vendor_it == vendor_by_spec_.end() ? "" : vendor_it->second;
     if (!CapabilitiesOf(DialectForVendor(vendor)).pagination) return;
-    cl.expr->sql->select->range_start = start;
-    cl.expr->sql->select->range_count = count;
+    cl.expr->sql()->select->range_start = start;
+    cl.expr->sql()->select->range_count = count;
     e = inner;
     if (stats_ != nullptr) ++stats_->ranges_pushed;
   }
@@ -1330,7 +1331,7 @@ class PushdownPass {
     if (base->kind != ExprKind::kFunctionCall || !base->children.empty()) {
       return;
     }
-    const ExternalFunction* fn = functions_->FindExternal(base->fn_name);
+    const ExternalFunction* fn = functions_->FindExternal(base->name);
     if (fn == nullptr || fn->kind() != "custom-queryable") return;
     std::set<std::string> ops;
     for (const auto& op : Split(fn->Property("pushdown_ops"), ',')) {
@@ -1347,18 +1348,18 @@ class PushdownPass {
         {"<", "lt"},  {"<=", "le"}, {">", "gt"},  {">=", "ge"}};
     auto spec = std::make_shared<xquery::CustomQuerySpec>();
     spec->source = fn->Property("source");
-    spec->function = base->fn_name;
+    spec->function = base->name;
     std::vector<ExprPtr> params;
     std::vector<ExprPtr> residual;
 
     std::function<void(const ExprPtr&)> consume = [&](const ExprPtr& pred) {
-      if (pred->kind == ExprKind::kLogical && pred->op == "and") {
+      if (pred->kind == ExprKind::kLogical && pred->name == "and") {
         consume(pred->children[0]);
         consume(pred->children[1]);
         return;
       }
       if (pred->kind == ExprKind::kComparison) {
-        auto op_it = kValueOps.find(pred->op);
+        auto op_it = kValueOps.find(pred->name);
         if (op_it != kValueOps.end() && ops.count(op_it->second) > 0) {
           for (int side = 0; side < 2; ++side) {
             const ExprPtr& attr_side = UnwrapData(pred->children[side]);
@@ -1367,7 +1368,7 @@ class PushdownPass {
                 attr_side->kind == ExprKind::kPathStep &&
                 !attr_side->is_attribute_step &&
                 attr_side->children[0]->kind == ExprKind::kVarRef &&
-                attr_side->children[0]->var_name == ".";
+                attr_side->children[0]->name == ".";
             bool value_ok = optimizer::FreeVars(*value_side).count(".") == 0 &&
                             !value_side->static_type.allows_many();
             if (attr_ok && value_ok) {
@@ -1381,7 +1382,7 @@ class PushdownPass {
               }
               if (ops.count(op) == 0) break;
               xquery::CustomQuerySpec::Conjunct conjunct;
-              conjunct.attribute = attr_side->step_name;
+              conjunct.attribute = attr_side->name;
               conjunct.op = op;
               conjunct.param_index = static_cast<int>(params.size());
               params.push_back(CloneExpr(value_side));

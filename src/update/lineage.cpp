@@ -75,7 +75,7 @@ class LineageAnalysis {
     if (e.kind != ExprKind::kFunctionCall || !e.children.empty()) {
       return nullptr;
     }
-    const ExternalFunction* fn = functions_.FindExternal(e.fn_name);
+    const ExternalFunction* fn = functions_.FindExternal(e.name);
     if (fn == nullptr || fn->kind() != "relational") return nullptr;
     return fn;
   }
@@ -106,7 +106,7 @@ class LineageAnalysis {
         continue;
       }
       if ((*cur)->kind == ExprKind::kFunctionCall &&
-          LookupBuiltin((*cur)->fn_name) == Builtin::kData &&
+          LookupBuiltin((*cur)->name) == Builtin::kData &&
           (*cur)->children.size() == 1) {
         cur = &(*cur)->children[0];
         continue;
@@ -123,16 +123,16 @@ class LineageAnalysis {
     const ExprPtr* cur = &UnwrapData(raw);
     while ((*cur)->kind == ExprKind::kFunctionCall &&
            (*cur)->children.size() == 1) {
-      const ExternalFunction* fn = functions_.FindExternal((*cur)->fn_name);
+      const ExternalFunction* fn = functions_.FindExternal((*cur)->name);
       if (fn == nullptr || fn->kind() != "external") break;
-      transforms->push_back((*cur)->fn_name);
+      transforms->push_back((*cur)->name);
       cur = &UnwrapData((*cur)->children[0]);
     }
     const ExprPtr& e = *cur;
     if (e->kind == ExprKind::kPathStep && !e->is_attribute_step &&
         e->children[0]->kind == ExprKind::kVarRef &&
-        e->children[0]->var_name == ctx.var) {
-      *column = e->step_name;
+        e->children[0]->name == ctx.var) {
+      *column = e->name;
       return true;
     }
     return false;
@@ -179,12 +179,12 @@ class LineageAnalysis {
       if (fn == nullptr) return false;
       RowCtx ctx = MakeCtx(first.var, *fn);
       const ExprPtr& ret = UnwrapData((*e)->children[0]);
-      if (ret->kind == ExprKind::kVarRef && ret->var_name == ctx.var) {
+      if (ret->kind == ExprKind::kVarRef && ret->name == ctx.var) {
         ExpandWholeRow(prefix, ctx, *fn);
         return true;
       }
       if (ret->kind == ExprKind::kElementCtor) {
-        std::string row_prefix = Extend(prefix, ret->ctor_name);
+        std::string row_prefix = Extend(prefix, ret->name);
         for (const auto& child : ret->children) {
           WalkContent(child, row_prefix, ctx);
         }
@@ -193,7 +193,7 @@ class LineageAnalysis {
       return false;
     }
     if ((*e)->kind == ExprKind::kFunctionCall) {
-      const ExternalFunction* fn = functions_.FindExternal((*e)->fn_name);
+      const ExternalFunction* fn = functions_.FindExternal((*e)->name);
       if (fn == nullptr) return false;
       if (fn->kind() == "relational" && (*e)->children.empty()) {
         RowCtx ctx = MakeCtx("", *fn);
@@ -238,7 +238,7 @@ class LineageAnalysis {
       return;
     }
     if (child->kind == ExprKind::kElementCtor) {
-      std::string path = Extend(prefix, child->ctor_name);
+      std::string path = Extend(prefix, child->name);
       // Simple mapped field: <NAME>{ transforms($var/COL) }</NAME>.
       if (child->children.size() == 1) {
         std::string column;
@@ -261,8 +261,8 @@ class LineageAnalysis {
       const ExprPtr& e = UnwrapData(child);
       if (e->kind == ExprKind::kPathStep && !e->is_attribute_step &&
           e->children[0]->kind == ExprKind::kVarRef &&
-          e->children[0]->var_name == ctx.var && transforms.empty()) {
-        AddField(Extend(prefix, e->step_name), ctx, e->step_name, {});
+          e->children[0]->name == ctx.var && transforms.empty()) {
+        AddField(Extend(prefix, e->name), ctx, e->name, {});
         return;
       }
       (void)column;

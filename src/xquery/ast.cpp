@@ -138,7 +138,7 @@ ExprPtr MakeSequence(std::vector<ExprPtr> parts, SourceLocation loc) {
 
 ExprPtr MakeVarRef(std::string name, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kVarRef, loc);
-  e->var_name = std::move(name);
+  e->name = std::move(name);
   return e;
 }
 
@@ -153,7 +153,7 @@ ExprPtr MakePathStep(ExprPtr input, std::string name, bool attribute,
                      SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kPathStep, loc);
   e->children = {std::move(input)};
-  e->step_name = std::move(name);
+  e->name = std::move(name);
   e->is_attribute_step = attribute;
   return e;
 }
@@ -167,7 +167,7 @@ ExprPtr MakeFilter(ExprPtr input, ExprPtr predicate, SourceLocation loc) {
 ExprPtr MakeElementCtor(std::string name, std::vector<ExprPtr> content,
                         bool conditional, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kElementCtor, loc);
-  e->ctor_name = std::move(name);
+  e->name = std::move(name);
   e->children = std::move(content);
   e->conditional = conditional;
   return e;
@@ -176,7 +176,7 @@ ExprPtr MakeElementCtor(std::string name, std::vector<ExprPtr> content,
 ExprPtr MakeAttributeCtor(std::string name, ExprPtr value, bool conditional,
                           SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kAttributeCtor, loc);
-  e->ctor_name = std::move(name);
+  e->name = std::move(name);
   e->children = {std::move(value)};
   e->conditional = conditional;
   return e;
@@ -193,7 +193,7 @@ ExprPtr MakeQuantified(bool is_every, std::string var, ExprPtr in,
                        ExprPtr satisfies, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kQuantified, loc);
   e->is_every = is_every;
-  e->var_name2 = std::move(var);
+  e->name = std::move(var);
   e->children = {std::move(in), std::move(satisfies)};
   return e;
 }
@@ -201,7 +201,7 @@ ExprPtr MakeQuantified(bool is_every, std::string var, ExprPtr in,
 ExprPtr MakeComparison(std::string op, bool general, ExprPtr lhs, ExprPtr rhs,
                        SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kComparison, loc);
-  e->op = std::move(op);
+  e->name = std::move(op);
   e->general_comparison = general;
   e->children = {std::move(lhs), std::move(rhs)};
   return e;
@@ -210,7 +210,7 @@ ExprPtr MakeComparison(std::string op, bool general, ExprPtr lhs, ExprPtr rhs,
 ExprPtr MakeArith(std::string op, ExprPtr lhs, ExprPtr rhs,
                   SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kArith, loc);
-  e->op = std::move(op);
+  e->name = std::move(op);
   e->children = {std::move(lhs), std::move(rhs)};
   return e;
 }
@@ -218,7 +218,7 @@ ExprPtr MakeArith(std::string op, ExprPtr lhs, ExprPtr rhs,
 ExprPtr MakeLogical(std::string op, ExprPtr lhs, ExprPtr rhs,
                     SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kLogical, loc);
-  e->op = std::move(op);
+  e->name = std::move(op);
   e->children = {std::move(lhs), std::move(rhs)};
   return e;
 }
@@ -226,7 +226,7 @@ ExprPtr MakeLogical(std::string op, ExprPtr lhs, ExprPtr rhs,
 ExprPtr MakeFunctionCall(std::string name, std::vector<ExprPtr> args,
                          SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kFunctionCall, loc);
-  e->fn_name = std::move(name);
+  e->name = std::move(name);
   e->children = std::move(args);
   return e;
 }
@@ -234,21 +234,21 @@ ExprPtr MakeFunctionCall(std::string name, std::vector<ExprPtr> args,
 ExprPtr MakeCastAs(ExprPtr input, TypeRef target, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kCastAs, loc);
   e->children = {std::move(input)};
-  e->type_ref = std::move(target);
+  e->extra.Mutable().type_ref = std::move(target);
   return e;
 }
 
 ExprPtr MakeInstanceOf(ExprPtr input, TypeRef target, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kInstanceOf, loc);
   e->children = {std::move(input)};
-  e->type_ref = std::move(target);
+  e->extra.Mutable().type_ref = std::move(target);
   return e;
 }
 
 ExprPtr MakeCastable(ExprPtr input, TypeRef target, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kCastable, loc);
   e->children = {std::move(input)};
-  e->type_ref = std::move(target);
+  e->extra.Mutable().type_ref = std::move(target);
   return e;
 }
 
@@ -256,14 +256,14 @@ ExprPtr MakeTypematch(ExprPtr input, xsd::SequenceType target,
                       SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kTypematch, loc);
   e->children = {std::move(input)};
-  e->target_type = std::move(target);
+  e->extra.Mutable().target_type = std::move(target);
   return e;
 }
 
 ExprPtr MakeSqlQuery(std::shared_ptr<SqlQuerySpec> spec,
                      std::vector<ExprPtr> params, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kSqlQuery, loc);
-  e->sql = std::move(spec);
+  e->extra.Mutable().sql = std::move(spec);
   e->children = std::move(params);
   return e;
 }
@@ -271,7 +271,7 @@ ExprPtr MakeSqlQuery(std::shared_ptr<SqlQuerySpec> spec,
 ExprPtr MakeCustomQuery(std::shared_ptr<CustomQuerySpec> spec,
                         std::vector<ExprPtr> params, SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kCustomQuery, loc);
-  e->custom = std::move(spec);
+  e->extra.Mutable().custom = std::move(spec);
   e->children = std::move(params);
   return e;
 }
@@ -279,9 +279,9 @@ ExprPtr MakeCustomQuery(std::shared_ptr<CustomQuerySpec> spec,
 ExprPtr MakeError(std::string message, std::vector<ExprPtr> operands,
                   SourceLocation loc) {
   ExprPtr e = NewExpr(ExprKind::kError, loc);
-  e->error_message = std::move(message);
+  e->name = std::move(message);
   e->children = std::move(operands);
-  e->static_type = xsd::One(xsd::XType::Error(e->error_message));
+  e->static_type = xsd::One(xsd::XType::Error(e->name));
   return e;
 }
 
@@ -290,13 +290,15 @@ ExprPtr CloneExpr(const ExprPtr& e) {
   auto copy = std::make_shared<Expr>(*e);
   copy->children.clear();
   for (const auto& c : e->children) copy->children.push_back(CloneExpr(c));
-  if (e->sql) {
-    // Share the SqlQuerySpec's immutable select; clone the spec shell so
-    // later mutation of one copy cannot alias the other.
-    copy->sql = std::make_shared<SqlQuerySpec>(*e->sql);
-    if (e->sql->select) copy->sql->select = e->sql->select->Clone();
+  if (const SqlQuerySpec* sql = e->sql()) {
+    // Clone the spec and its select so later mutation of one copy cannot
+    // alias the other.
+    copy->extra->sql = std::make_shared<SqlQuerySpec>(*sql);
+    if (sql->select) copy->extra->sql->select = sql->select->Clone();
   }
-  if (e->custom) copy->custom = std::make_shared<CustomQuerySpec>(*e->custom);
+  if (const CustomQuerySpec* custom = e->custom()) {
+    copy->extra->custom = std::make_shared<CustomQuerySpec>(*custom);
+  }
   copy->clauses.clear();
   for (const auto& cl : e->clauses) {
     Clause c = cl;
@@ -368,7 +370,7 @@ void Write(const Expr& e, std::ostringstream& os) {
       os << ")";
       break;
     case ExprKind::kVarRef:
-      os << "$" << e.var_name;
+      os << "$" << e.name;
       break;
     case ExprKind::kFLWOR: {
       for (const auto& cl : e.clauses) {
@@ -436,7 +438,7 @@ void Write(const Expr& e, std::ostringstream& os) {
     }
     case ExprKind::kPathStep:
       Write(*e.children[0], os);
-      os << "/" << (e.is_attribute_step ? "@" : "") << e.step_name;
+      os << "/" << (e.is_attribute_step ? "@" : "") << e.name;
       break;
     case ExprKind::kFilter:
       Write(*e.children[0], os);
@@ -445,15 +447,15 @@ void Write(const Expr& e, std::ostringstream& os) {
       os << "]";
       break;
     case ExprKind::kElementCtor:
-      os << "<" << e.ctor_name << (e.conditional ? "?" : "") << ">{";
+      os << "<" << e.name << (e.conditional ? "?" : "") << ">{";
       for (size_t i = 0; i < e.children.size(); ++i) {
         if (i > 0) os << ", ";
         Write(*e.children[i], os);
       }
-      os << "}</" << e.ctor_name << ">";
+      os << "}</" << e.name << ">";
       break;
     case ExprKind::kAttributeCtor:
-      os << "attribute " << e.ctor_name << (e.conditional ? "?" : "") << " {";
+      os << "attribute " << e.name << (e.conditional ? "?" : "") << " {";
       Write(*e.children[0], os);
       os << "}";
       break;
@@ -466,7 +468,7 @@ void Write(const Expr& e, std::ostringstream& os) {
       Write(*e.children[2], os);
       break;
     case ExprKind::kQuantified:
-      os << (e.is_every ? "every" : "some") << " $" << e.var_name2 << " in ";
+      os << (e.is_every ? "every" : "some") << " $" << e.name << " in ";
       Write(*e.children[0], os);
       os << " satisfies ";
       Write(*e.children[1], os);
@@ -476,12 +478,12 @@ void Write(const Expr& e, std::ostringstream& os) {
     case ExprKind::kLogical:
       os << "(";
       Write(*e.children[0], os);
-      os << " " << e.op << " ";
+      os << " " << e.name << " ";
       Write(*e.children[1], os);
       os << ")";
       break;
     case ExprKind::kFunctionCall:
-      os << e.fn_name << "(";
+      os << e.name << "(";
       for (size_t i = 0; i < e.children.size(); ++i) {
         if (i > 0) os << ", ";
         Write(*e.children[i], os);
@@ -490,25 +492,26 @@ void Write(const Expr& e, std::ostringstream& os) {
       break;
     case ExprKind::kCastAs:
       Write(*e.children[0], os);
-      os << " cast as " << e.type_ref.ToString();
+      os << " cast as " << e.extra->type_ref.ToString();
       break;
     case ExprKind::kInstanceOf:
       Write(*e.children[0], os);
-      os << " instance of " << e.type_ref.ToString();
+      os << " instance of " << e.extra->type_ref.ToString();
       break;
     case ExprKind::kCastable:
       Write(*e.children[0], os);
-      os << " castable as " << e.type_ref.ToString();
+      os << " castable as " << e.extra->type_ref.ToString();
       break;
     case ExprKind::kTypematch:
-      os << "typematch[" << e.target_type.ToString() << "](";
+      os << "typematch[" << e.extra->target_type.ToString() << "](";
       Write(*e.children[0], os);
       os << ")";
       break;
     case ExprKind::kSqlQuery:
-      os << "sql[" << (e.sql ? e.sql->source : "?") << "]{"
-         << (e.sql && e.sql->select ? relational::DebugString(*e.sql->select)
-                                    : "")
+      os << "sql[" << (e.sql() ? e.sql()->source : "?") << "]{"
+         << (e.sql() && e.sql()->select
+                 ? relational::DebugString(*e.sql()->select)
+                 : "")
          << "}";
       if (!e.children.empty()) {
         os << "(";
@@ -519,15 +522,16 @@ void Write(const Expr& e, std::ostringstream& os) {
         os << ")";
       }
       break;
-    case ExprKind::kCustomQuery:
-      os << "custom[" << (e.custom ? e.custom->source : "?") << ":"
-         << (e.custom ? e.custom->function : "?") << "]{";
-      if (e.custom) {
-        for (size_t i = 0; i < e.custom->conjuncts.size(); ++i) {
+    case ExprKind::kCustomQuery: {
+      const CustomQuerySpec* custom = e.custom();
+      os << "custom[" << (custom ? custom->source : "?") << ":"
+         << (custom ? custom->function : "?") << "]{";
+      if (custom) {
+        for (size_t i = 0; i < custom->conjuncts.size(); ++i) {
           if (i > 0) os << " and ";
-          os << e.custom->conjuncts[i].attribute << " "
-             << e.custom->conjuncts[i].op << " ?"
-             << e.custom->conjuncts[i].param_index;
+          os << custom->conjuncts[i].attribute << " "
+             << custom->conjuncts[i].op << " ?"
+             << custom->conjuncts[i].param_index;
         }
       }
       os << "}(";
@@ -537,8 +541,9 @@ void Write(const Expr& e, std::ostringstream& os) {
       }
       os << ")";
       break;
+    }
     case ExprKind::kError:
-      os << "error(\"" << e.error_message << "\")";
+      os << "error(\"" << e.name << "\")";
       break;
   }
 }

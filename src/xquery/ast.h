@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/copy_ptr.h"
 #include "common/diagnostics.h"
 #include "relational/sql_ast.h"
 #include "xml/value.h"
@@ -180,11 +181,35 @@ struct PPkFetchSpec {
   std::string row_name = "row";
 };
 
-/// One expression node. A deliberately "fat" tagged struct: rewrite rules
-/// in the optimizer pattern-match on `kind` and mutate children in place.
+/// Payload of the few kinds that carry more than a name: cast targets
+/// and pushed-down regions. Kept out of line (Expr::extra) so the common
+/// node stays small; each factory of these kinds creates it.
+struct ExprExtra {
+  // kCastAs / kInstanceOf / kCastable: the target as written
+  TypeRef type_ref;
+  // kCastAs / kInstanceOf / kCastable: type_ref resolved by the analyzer;
+  // kTypematch: the checked type
+  xsd::SequenceType target_type;
+  // kSqlQuery (children are the parameter expressions)
+  std::shared_ptr<SqlQuerySpec> sql;
+  // kCustomQuery (children are the parameter expressions)
+  std::shared_ptr<CustomQuerySpec> custom;
+};
+
+/// One expression node: a tagged struct whose rewrite rules in the
+/// optimizer pattern-match on `kind` and mutate children in place. Fields
+/// are shared across kinds (`name`, `children`) or kept behind `extra`,
+/// because the plan cache holds dozens of nodes per plan resident.
 struct Expr {
   ExprKind kind;
   SourceLocation loc;
+
+  // Flags, each meaningful for one kind only.
+  bool is_attribute_step = false;   // kPathStep: @NAME
+  bool conditional = false;         // kElementCtor/kAttributeCtor: `<NAME?>`
+                                    // (the ALDSP extension, paper §3.1)
+  bool general_comparison = false;  // kComparison: =, != ... (not eq, ne ...)
+  bool is_every = false;            // kQuantified: every (not some)
 
   /// Inferred static type (filled by the type checker).
   xsd::SequenceType static_type = xsd::AnySequence();
@@ -192,8 +217,15 @@ struct Expr {
   // kLiteral
   xml::AtomicValue literal;
 
-  // kVarRef
-  std::string var_name;
+  // The node's one string. Meaning by kind (empty for the others):
+  //   kVarRef: variable name
+  //   kPathStep: element name test, or attribute name
+  //   kElementCtor/kAttributeCtor: constructed node name
+  //   kComparison/kArith/kLogical: operator ("eq", "=", "+", "and", ...)
+  //   kFunctionCall: function name
+  //   kQuantified: quantifier variable
+  //   kError: error message
+  std::string name;
 
   // Generic operands. Layout by kind:
   //   kSequence: parts
@@ -207,44 +239,26 @@ struct Expr {
   //   kComparison/kArith/kLogical: [lhs, rhs]
   //   kFunctionCall: args
   //   kCastAs/kInstanceOf/kTypematch: [input]
+  //   kSqlQuery/kCustomQuery: parameter expressions
   //   kError: original operands (kept so design-time analysis continues)
   std::vector<ExprPtr> children;
 
   // kFLWOR
   std::vector<Clause> clauses;
 
-  // kPathStep
-  std::string step_name;  // element name test, or attribute name
-  bool is_attribute_step = false;
+  // kCastAs/kInstanceOf/kCastable/kTypematch/kSqlQuery/kCustomQuery
+  CopyPtr<ExprExtra> extra;
 
-  // kElementCtor / kAttributeCtor
-  std::string ctor_name;
-  bool conditional = false;  // the ALDSP `<NAME?>` extension (paper §3.1)
-
-  // kComparison / kArith / kLogical
-  std::string op;           // "eq", "=", "+", "and", ...
-  bool general_comparison = false;
-
-  // kFunctionCall
-  std::string fn_name;
-
-  // kCastAs / kInstanceOf / kTypematch
-  TypeRef type_ref;
-  xsd::SequenceType target_type;  // resolved (typematch/cast)
-
-  // kQuantified
-  std::string var_name2;  // quantifier variable
-  bool is_every = false;
-
-  // kSqlQuery (children are the parameter expressions)
-  std::shared_ptr<SqlQuerySpec> sql;
-
-  // kCustomQuery (children are the parameter expressions)
-  std::shared_ptr<CustomQuerySpec> custom;
-
-  // kError
-  std::string error_message;
+  /// The pushed-down region specs; null unless kSqlQuery / kCustomQuery.
+  SqlQuerySpec* sql() const { return extra ? extra->sql.get() : nullptr; }
+  CustomQuerySpec* custom() const {
+    return extra ? extra->custom.get() : nullptr;
+  }
 };
+
+// Plans keep every node resident in the plan cache: a layout change that
+// grows the node shows up here rather than as a peak-RSS regression.
+static_assert(sizeof(Expr) <= 192, "xquery::Expr grew past 192 bytes");
 
 // ----- Factories ------------------------------------------------------
 

@@ -1,5 +1,7 @@
 #include "xsd/types.h"
 
+#include <array>
+
 #include "xml/node.h"
 
 namespace aldsp::xsd {
@@ -36,9 +38,19 @@ TypePtr XType::AnyNode() {
 }
 
 TypePtr XType::Atomic(AtomicType t) {
-  auto* ty = new XType(Kind::kAtomic);
-  ty->atomic_ = t;
-  return TypePtr(ty);
+  // Types are immutable and an atomic type is nothing but `t`: one shared
+  // instance per AtomicType, rather than two allocations for every typed
+  // node of every cached plan.
+  static const auto kInstances = [] {
+    std::array<TypePtr, static_cast<size_t>(AtomicType::kUntyped) + 1> all;
+    for (size_t i = 0; i < all.size(); ++i) {
+      auto* ty = new XType(Kind::kAtomic);
+      ty->atomic_ = static_cast<AtomicType>(i);
+      all[i] = TypePtr(ty);
+    }
+    return all;
+  }();
+  return kInstances[static_cast<size_t>(t)];
 }
 
 TypePtr XType::SimpleElement(std::string name, AtomicType content) {

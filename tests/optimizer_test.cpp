@@ -336,8 +336,8 @@ Result<ExprPtr> CompilePushed(RunningExample& env, const std::string& query) {
 // True if some SQL scan of `table` in `e` carries a WHERE clause.
 bool ScanFiltered(ExprPtr& e, const std::string& table) {
   if (e->kind == ExprKind::kSqlQuery &&
-      e->sql->select->from.table_name == table &&
-      e->sql->select->where != nullptr) {
+      e->sql()->select->from.table_name == table &&
+      e->sql()->select->where != nullptr) {
     return true;
   }
   bool found = false;

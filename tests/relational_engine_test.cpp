@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "relational/engine.h"
 #include "relational/sql_ast.h"
 #include "tests/test_fixtures.h"
@@ -378,6 +381,142 @@ TEST(EngineTest, DebugStringRendersSql) {
   EXPECT_NE(text.find("SELECT"), std::string::npos);
   EXPECT_NE(text.find("\"CUSTOMER\""), std::string::npos);
   EXPECT_NE(text.find("'CUST001'"), std::string::npos);
+}
+
+// Two BIGINT tables holding 2^53 and 2^53 + 1, values a double cannot
+// tell apart.
+std::unique_ptr<Database> MakeBigIntDb() {
+  auto db = std::make_unique<Database>("bigint_db");
+  constexpr int64_t kBig = int64_t{1} << 53;
+  for (const char* table : {"A", "B"}) {
+    TableDef def;
+    def.name = table;
+    def.columns = {{"K", ColumnType::kBigInt, false}};
+    EXPECT_TRUE(db->CreateTable(def).ok());
+  }
+  EXPECT_TRUE(db->InsertRow("A", {Cell::Int(kBig)}).ok());
+  EXPECT_TRUE(db->InsertRow("A", {Cell::Int(kBig + 1)}).ok());
+  EXPECT_TRUE(db->InsertRow("B", {Cell::Int(kBig + 1)}).ok());
+  return db;
+}
+
+SelectPtr BigIntJoin(SqlExprPtr condition) {
+  auto s = std::make_shared<SelectStmt>();
+  s->from = {"A", nullptr, "t1"};
+  s->joins.push_back({JoinKind::kInner, {"B", nullptr, "t2"}, condition});
+  s->items = {{SqlExpr::Column("t1", "K"), "c1"}};
+  return s;
+}
+
+TEST(EngineTest, HashJoinAgreesWithNestedLoopPast2To53) {
+  auto db = MakeBigIntDb();
+  SqlExprPtr eq = SqlExpr::Binary("=", SqlExpr::Column("t1", "K"),
+                                  SqlExpr::Column("t2", "K"));
+  // An equi conjunct makes the join a hash join; the same predicate
+  // behind NOT(<>) is not hashable and runs as a nested loop.
+  auto hashed = db->ExecuteSelect(*BigIntJoin(eq));
+  auto nested = db->ExecuteSelect(*BigIntJoin(SqlExpr::Not(SqlExpr::Binary(
+      "<>", SqlExpr::Column("t1", "K"), SqlExpr::Column("t2", "K")))));
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  ASSERT_EQ(nested->rows.size(), 1u);
+  ASSERT_EQ(hashed->rows.size(), 1u);
+  EXPECT_EQ(hashed->rows[0][0].value.AsInteger(), (int64_t{1} << 53) + 1);
+}
+
+TEST(EngineTest, GroupByAndDistinctSeparateValuesPast2To53) {
+  auto db = MakeBigIntDb();
+  auto grouped = std::make_shared<SelectStmt>();
+  grouped->from = {"A", nullptr, "t1"};
+  grouped->group_by = {SqlExpr::Column("t1", "K")};
+  grouped->items = {{SqlExpr::Column("t1", "K"), "c1"},
+                    {SqlExpr::Aggregate(SqlAgg::kCountStar, nullptr), "c2"}};
+  auto g = db->ExecuteSelect(*grouped);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->rows.size(), 2u);
+
+  auto distinct = std::make_shared<SelectStmt>();
+  distinct->distinct = true;
+  distinct->from = {"A", nullptr, "t1"};
+  distinct->items = {{SqlExpr::Column("t1", "K"), "c1"}};
+  auto d = db->ExecuteSelect(*distinct);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->rows.size(), 2u);
+
+  auto count = std::make_shared<SelectStmt>();
+  count->from = {"A", nullptr, "t1"};
+  count->items = {{SqlExpr::Aggregate(SqlAgg::kCount,
+                                      SqlExpr::Column("t1", "K"), true),
+                   "c1"}};
+  auto c = db->ExecuteSelect(*count);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_EQ(c->rows.size(), 1u);
+  EXPECT_EQ(c->rows[0][0].value.AsInteger(), 2);
+}
+
+// A logical operator over a non-boolean value is a typed RuntimeError,
+// never an escaping exception; a failing UPDATE or DELETE leaves the
+// table as it was.
+TEST(EngineTest, NonBooleanLogicalOperandsAreRuntimeErrors) {
+  auto db = MakeCustomerDb(3);
+  SqlExprPtr one = SqlExpr::Literal(Cell::Int(1));
+  SqlExprPtr yes = SqlExpr::Literal(Cell::Bool(true));
+  SqlExprPtr no = SqlExpr::Literal(Cell::Bool(false));
+  for (SqlExprPtr where :
+       {SqlExpr::Not(one), SqlExpr::Binary("AND", one, yes),
+        SqlExpr::Binary("OR", no, one)}) {
+    auto s = SelectAllCustomers();
+    s->where = where;
+    auto rs = db->ExecuteSelect(*s);
+    EXPECT_EQ(rs.status().code(), StatusCode::kRuntimeError)
+        << DebugString(*where);
+  }
+
+  UpdateStmt u;
+  u.table_name = "CUSTOMER";
+  u.assignments = {{"LAST_NAME", SqlExpr::Literal(Cell::Str("Zzyzx"))}};
+  u.where = one;
+  EXPECT_EQ(db->ExecuteUpdate(u).status().code(), StatusCode::kRuntimeError);
+
+  DeleteStmt del;
+  del.table_name = "CUSTOMER";
+  del.where = one;
+  EXPECT_EQ(db->ExecuteDelete(del).status().code(),
+            StatusCode::kRuntimeError);
+
+  auto rows = db->TableData("CUSTOMER");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 3u);
+  for (const auto& row : *rows) EXPECT_NE(row[2].value.AsString(), "Zzyzx");
+}
+
+// A write sleeps its simulated round trip after releasing the database
+// mutex, as a SELECT does: a concurrent SELECT pays only its own round
+// trip, not the rest of the UPDATE's.
+TEST(EngineTest, SleptUpdateDoesNotDelayConcurrentSelect) {
+  constexpr int64_t kRoundTripMicros = 400'000;
+  auto db = MakeCustomerDb(3);
+  db->latency_model().roundtrip_micros = kRoundTripMicros;
+  db->latency_model().sleep = true;
+  UpdateStmt u;
+  u.table_name = "CUSTOMER";
+  u.assignments = {{"LAST_NAME", SqlExpr::Literal(Cell::Str("Smith"))}};
+  std::thread writer([&] { EXPECT_TRUE(db->ExecuteUpdate(u).ok()); });
+  // Let the UPDATE take the mutex and start its round trip.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(db->ExecuteSelect(*SelectAllCustomers()).ok());
+  auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  writer.join();
+  // Its own round trip plus scheduling slack; behind the UPDATE's sleep it
+  // would take another ~350 ms.
+  EXPECT_LT(micros, kRoundTripMicros + 150'000);
+  // The latency model charged one round trip per statement.
+  EXPECT_EQ(db->stats().statements.load(), 2);
+  EXPECT_EQ(db->stats().simulated_latency_micros.load(),
+            2 * kRoundTripMicros + 3 * db->latency_model().per_row_micros);
 }
 
 }  // namespace

@@ -91,6 +91,32 @@ TEST(AuditLogTest, RecordsSequencedEvents) {
   EXPECT_EQ(audit.size(), 0u);
 }
 
+TEST(AuditLogTest, RingDropsOldestAndKeepsCountingSequences) {
+  constexpr size_t kCapacity = 4;
+  constexpr int kOverflow = 3;
+  AuditLog audit(kCapacity);
+  for (int i = 0; i < static_cast<int>(kCapacity) + kOverflow; ++i) {
+    audit.Record("query", "alice", "q" + std::to_string(i));
+  }
+  EXPECT_EQ(audit.size(), kCapacity);
+  auto events = audit.Events();
+  ASSERT_EQ(events.size(), kCapacity);
+  // Sequences start at 1; the first kOverflow events were dropped.
+  EXPECT_EQ(events.front().sequence, 1 + kOverflow);
+  EXPECT_EQ(events.front().detail, "q" + std::to_string(kOverflow));
+  EXPECT_EQ(events.back().sequence,
+            static_cast<int64_t>(kCapacity) + kOverflow);
+}
+
+TEST(AuditLogTest, ServerSizesTheRingFromAuditLogCapacity) {
+  server::ServerOptions options;
+  options.audit_log_capacity = 2;
+  DataServicePlatform platform(options);
+  EXPECT_EQ(platform.audit_log().capacity(), 2u);
+  for (int i = 0; i < 5; ++i) platform.audit_log().Record("cancel", "", "x");
+  EXPECT_EQ(platform.audit_log().size(), 2u);
+}
+
 class ServerSecurityTest : public ::testing::Test {
  protected:
   void SetUp() override {

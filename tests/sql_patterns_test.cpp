@@ -65,7 +65,7 @@ class SqlPatternsTest : public ::testing::Test {
       EXPECT_EQ(xml::SerializeSequence(*fast), xml::SerializeSequence(*slow))
           << query << "\nplan: " << xquery::DebugString(*root);
     }
-    auto text = RenderSql(*sql_nodes[0]->sql->select, SqlDialect::kOracle);
+    auto text = RenderSql(*sql_nodes[0]->sql()->select, SqlDialect::kOracle);
     EXPECT_TRUE(text.ok()) << text.status().ToString();
     return text.ok() ? *text : "";
   }
@@ -280,7 +280,7 @@ TEST_F(SqlPatternsTest, ContainsAndStartsWithBecomeLike) {
   ExprPtr root = (*plan)->plan;
   CollectSqlNodes(root, &nodes);
   ASSERT_FALSE(nodes.empty());
-  auto text = RenderSql(*nodes[0]->sql->select, SqlDialect::kOracle);
+  auto text = RenderSql(*nodes[0]->sql()->select, SqlDialect::kOracle);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("%100\\%%"), std::string::npos) << *text;
 }
@@ -314,7 +314,7 @@ TEST_F(SqlPatternsTest, CrossSourceDoesNotPush) {
   CollectSqlNodes(root, &nodes);
   for (const auto* n : nodes) {
     // Each SQL node touches exactly one source.
-    auto text = RenderSql(*n->sql->select, SqlDialect::kBase92);
+    auto text = RenderSql(*n->sql()->select, SqlDialect::kBase92);
     ASSERT_TRUE(text.ok());
     bool has_customer = text->find("\"CUSTOMER\"") != std::string::npos;
     bool has_cc = text->find("\"CREDIT_CARD\"") != std::string::npos;
@@ -370,7 +370,7 @@ TEST(ProfileByIdTest, KeyedReadBuildsOneProfile) {
   CollectSqlNodes(root, &nodes);
   int keyed_customer_scans = 0;
   for (const auto* n : nodes) {
-    auto text = RenderSql(*n->sql->select, SqlDialect::kOracle);
+    auto text = RenderSql(*n->sql()->select, SqlDialect::kOracle);
     ASSERT_TRUE(text.ok());
     if (text->find("FROM \"CUSTOMER\"") != std::string::npos &&
         text->find("\"CID\" = 'CUST003'") != std::string::npos) {

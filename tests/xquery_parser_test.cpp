@@ -25,7 +25,7 @@ TEST(ParserTest, Literals) {
 TEST(ParserTest, PathsAndPredicates) {
   ExprPtr e = MustParse("$c/CID");
   ASSERT_EQ(e->kind, ExprKind::kPathStep);
-  EXPECT_EQ(e->step_name, "CID");
+  EXPECT_EQ(e->name, "CID");
   EXPECT_EQ(e->children[0]->kind, ExprKind::kVarRef);
 
   ExprPtr attr = MustParse("$c/@id");
@@ -37,19 +37,19 @@ TEST(ParserTest, PathsAndPredicates) {
   EXPECT_EQ(filt->children[1]->kind, ExprKind::kComparison);
   // Bare CID inside the predicate is a step on the context item.
   EXPECT_EQ(filt->children[1]->children[0]->kind, ExprKind::kPathStep);
-  EXPECT_EQ(filt->children[1]->children[0]->children[0]->var_name, ".");
+  EXPECT_EQ(filt->children[1]->children[0]->children[0]->name, ".");
 }
 
 TEST(ParserTest, OperatorPrecedence) {
   ExprPtr e = MustParse("1 + 2 * 3 eq 7 and $x or $y");
   ASSERT_EQ(e->kind, ExprKind::kLogical);
-  EXPECT_EQ(e->op, "or");
-  EXPECT_EQ(e->children[0]->op, "and");
+  EXPECT_EQ(e->name, "or");
+  EXPECT_EQ(e->children[0]->name, "and");
   ExprPtr cmp = e->children[0]->children[0];
   ASSERT_EQ(cmp->kind, ExprKind::kComparison);
-  EXPECT_EQ(cmp->op, "eq");
-  EXPECT_EQ(cmp->children[0]->op, "+");
-  EXPECT_EQ(cmp->children[0]->children[1]->op, "*");
+  EXPECT_EQ(cmp->name, "eq");
+  EXPECT_EQ(cmp->children[0]->name, "+");
+  EXPECT_EQ(cmp->children[0]->children[1]->name, "*");
 }
 
 TEST(ParserTest, GeneralVsValueComparison) {
@@ -112,7 +112,7 @@ TEST(ParserTest, DirectConstructor) {
   ExprPtr e = MustParse(
       "<CUSTOMER_ORDER>{ $c/CID, $o/OID }</CUSTOMER_ORDER>");
   ASSERT_EQ(e->kind, ExprKind::kElementCtor);
-  EXPECT_EQ(e->ctor_name, "CUSTOMER_ORDER");
+  EXPECT_EQ(e->name, "CUSTOMER_ORDER");
   ASSERT_EQ(e->children.size(), 1u);
   EXPECT_EQ(e->children[0]->kind, ExprKind::kSequence);
 }
@@ -129,7 +129,7 @@ TEST(ParserTest, ConstructorWithAttributesAndNesting) {
   EXPECT_EQ(e->children[1]->kind, ExprKind::kAttributeCtor);
   EXPECT_EQ(e->children[1]->children[0]->literal.AsString(), "basic");
   EXPECT_EQ(e->children[2]->kind, ExprKind::kElementCtor);
-  EXPECT_EQ(e->children[3]->ctor_name, "EMPTY");
+  EXPECT_EQ(e->children[3]->name, "EMPTY");
 }
 
 TEST(ParserTest, ConditionalConstructionExtension) {
@@ -150,7 +150,7 @@ TEST(ParserTest, IfThenElse) {
   ExprPtr e = MustParse(
       "if ($c/CID eq \"CUST001\") then $c/FIRST_NAME else $c/LAST_NAME");
   ASSERT_EQ(e->kind, ExprKind::kIf);
-  EXPECT_EQ(e->children[1]->step_name, "FIRST_NAME");
+  EXPECT_EQ(e->children[1]->name, "FIRST_NAME");
 }
 
 TEST(ParserTest, QuantifiedExpression) {
@@ -162,7 +162,7 @@ TEST(ParserTest, QuantifiedExpression) {
   const Clause& w = e->clauses[1];
   ASSERT_EQ(w.expr->kind, ExprKind::kQuantified);
   EXPECT_FALSE(w.expr->is_every);
-  EXPECT_EQ(w.expr->var_name2, "o");
+  EXPECT_EQ(w.expr->name, "o");
 }
 
 TEST(ParserTest, FunctionCallsAndSubsequence) {
@@ -176,17 +176,17 @@ TEST(ParserTest, FunctionCallsAndSubsequence) {
   ASSERT_EQ(e->kind, ExprKind::kFLWOR);
   ExprPtr ret = e->children[0];
   ASSERT_EQ(ret->kind, ExprKind::kFunctionCall);
-  EXPECT_EQ(ret->fn_name, "subsequence");
+  EXPECT_EQ(ret->name, "subsequence");
   EXPECT_EQ(ret->children.size(), 3u);
 }
 
 TEST(ParserTest, CastAndInstanceOf) {
   ExprPtr e = MustParse("$x cast as xs:integer");
   ASSERT_EQ(e->kind, ExprKind::kCastAs);
-  EXPECT_EQ(e->type_ref.name, "xs:integer");
+  EXPECT_EQ(e->extra->type_ref.name, "xs:integer");
   ExprPtr i = MustParse("$x instance of element(CUSTOMER)*");
   ASSERT_EQ(i->kind, ExprKind::kInstanceOf);
-  EXPECT_EQ(i->type_ref.occurrence, xsd::Occurrence::kStar);
+  EXPECT_EQ(i->extra->type_ref.occurrence, xsd::Occurrence::kStar);
 }
 
 TEST(ParserTest, ParseErrors) {
