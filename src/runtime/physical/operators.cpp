@@ -81,31 +81,6 @@ Status PhysicalOperator::Open(ExecEnv* env) {
   return OpenImpl();
 }
 
-Result<bool> PhysicalOperator::Next(Tuple* out) {
-  ALDSP_RETURN_NOT_OK(CheckCancelled(exec_));
-  if (span_ < 0) {
-    Result<bool> r = NextImpl(out);
-    if (r.ok() && r.value()) ++rows_;
-    return r;
-  }
-  // Timed inclusive of the input chain (EXPLAIN ANALYZE style); the span
-  // becomes the thread's scope so source events inside attach to it.
-  QueryTrace::Scope scope(trace_, span_);
-  auto t0 = std::chrono::steady_clock::now();
-  Result<bool> r = NextImpl(out);
-  auto t1 = std::chrono::steady_clock::now();
-  micros_ +=
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-  if (r.ok() && r.value()) {
-    ++rows_;
-    if (timeline_) {
-      last_row_micros_ = trace_->RelMicros(t1);
-      if (first_row_micros_ < 0) first_row_micros_ = last_row_micros_;
-    }
-  }
-  return r;
-}
-
 Result<bool> PhysicalOperator::NextBatch(TupleBatch* out, int max_rows) {
   // One cancel poll per batch (not per row): the batch is the unit at
   // which every pipeline in the tree re-checks the live-query control
@@ -136,36 +111,6 @@ Result<bool> PhysicalOperator::NextBatch(TupleBatch* out, int max_rows) {
     }
   }
   return r;
-}
-
-Result<bool> PhysicalOperator::NextImpl(Tuple* out) {
-  // Row-compat shim: drain a buffered batch produced by the subclass's
-  // NextBatchImpl, skipping empty batches so row consumers never see a
-  // phantom tuple.
-  while (true) {
-    if (shim_pos_ < shim_batch_.size()) {
-      *out = shim_batch_.MaterializeRow(shim_pos_++);
-      return true;
-    }
-    shim_batch_.Clear();
-    shim_pos_ = 0;
-    batch_limit_ = batch_size_;
-    ALDSP_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&shim_batch_));
-    if (!more) return false;
-  }
-}
-
-Result<bool> PhysicalOperator::NextBatchImpl(TupleBatch* out) {
-  // Batch-compat shim: loop the subclass's row production up to the
-  // batch target, so unconverted operators ride in a batch pipeline.
-  Tuple t;
-  int target = batch_target();
-  while (static_cast<int>(out->size()) < target) {
-    ALDSP_ASSIGN_OR_RETURN(bool more, NextImpl(&t));
-    if (!more) break;
-    out->PushRow(std::move(t));
-  }
-  return !out->empty();
 }
 
 void PhysicalOperator::Close() {
@@ -210,10 +155,10 @@ class SingletonSourceOp final : public PhysicalOperator {
   SingletonSourceOp() : PhysicalOperator(nullptr, "") {}
 
  protected:
-  Result<bool> NextImpl(Tuple* out) override {
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (done_) return false;
     done_ = true;
-    *out = base_env();
+    out->PushRow(base_env());
     return true;
   }
 
@@ -231,9 +176,7 @@ class ForScanOp : public PhysicalOperator {
  public:
   ForScanOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Result<bool> NextBatchImpl(TupleBatch* out) override {
@@ -303,9 +246,7 @@ class LetBindOp final : public PhysicalOperator {
  public:
   LetBindOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -350,9 +291,7 @@ class FilterOp final : public PhysicalOperator {
  public:
   FilterOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
            std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -550,9 +489,7 @@ class JoinOpBase : public PhysicalOperator {
       : PhysicalOperator(std::move(input), std::move(label),
                          std::move(span_detail)),
         cl_(cl),
-        method_(method) {
-    explain().batch = true;
-  }
+        method_(method) {}
 
  protected:
   Status OpenImpl() override {
@@ -1165,8 +1102,8 @@ class ParallelForScanOp final : public ExchangeOpBase {
 /// expression dispatches as its own worker-pool task — they share the
 /// same input environment (the optimizer verified mutual independence),
 /// so k source calls overlap instead of paying their latencies in
-/// sequence. All tasks complete before NextImpl returns, so no task can
-/// outlive the operator.
+/// sequence. All tasks complete before the tuple is emitted, so no task
+/// can outlive the operator.
 class ParallelLetOp final : public PhysicalOperator {
  public:
   ParallelLetOp(std::unique_ptr<PhysicalOperator> input,
@@ -1177,10 +1114,18 @@ class ParallelLetOp final : public PhysicalOperator {
         lets_(std::move(lets)) {}
 
  protected:
-  Result<bool> NextImpl(Tuple* out) override {
-    Tuple t;
-    ALDSP_ASSIGN_OR_RETURN(bool more, input()->Next(&t));
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
+    ALDSP_ASSIGN_OR_RETURN(bool more, input()->NextBatch(&in_, batch_target()));
     if (!more) return false;
+    for (size_t i = 0; i < in_.size(); ++i) {
+      ALDSP_ASSIGN_OR_RETURN(Tuple t, FanOut(in_.MaterializeRow(i)));
+      out->PushRow(std::move(t));
+    }
+    return true;
+  }
+
+ private:
+  Result<Tuple> FanOut(Tuple t) {
     if (ctx()->stats != nullptr) ctx()->stats->parallel_let_fanouts += 1;
     WorkerPool& pool = WorkerPool::For(ctx()->pool);
     QueryTrace* tr = trace();
@@ -1235,12 +1180,11 @@ class ParallelLetOp final : public PhysicalOperator {
       if (!slots[i]->ok()) return slots[i]->status();
       t = t.Bind(lets_[i]->var, std::move(*slots[i]).value());
     }
-    *out = std::move(t);
-    return true;
+    return t;
   }
 
- private:
   std::vector<const Clause*> lets_;
+  TupleBatch in_;
 };
 
 // ----- Grouping (paper §4.2) ---------------------------------------------
@@ -1256,9 +1200,7 @@ class StreamGroupByOp final : public PhysicalOperator {
  public:
   StreamGroupByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
                   std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -1526,9 +1468,7 @@ class OrderByOp final : public PhysicalOperator {
  public:
   OrderByOp(std::unique_ptr<PhysicalOperator> input, const Clause& cl,
             std::string label)
-      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {
-    explain().batch = true;
-  }
+      : PhysicalOperator(std::move(input), std::move(label)), cl_(cl) {}
 
  protected:
   Status OpenImpl() override {
@@ -1628,7 +1568,6 @@ class ReturnOp final : public PhysicalOperator {
  public:
   ReturnOp(std::unique_ptr<PhysicalOperator> input, const Expr* ret)
       : PhysicalOperator(std::move(input), "return"), ret_(ret) {
-    explain().batch = true;
   }
 
  protected:

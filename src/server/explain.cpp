@@ -35,11 +35,9 @@ void AppendJsonString(std::ostream& os, const std::string& s) {
 /// resulting descriptors are rendered in pipeline order.
 std::string PlanNodeLabel(const runtime::physical::ExplainNode& n) {
   std::string label = n.detail.empty() ? n.label : n.label + " " + n.detail;
-  // Batch-native operators are marked so plans show which pipeline
-  // stages run vectorized (plan fingerprints hash labels only, so the
-  // suffix never perturbs them).
-  if (n.batch) label += " [batch]";
-  return label;
+  // Every operator runs batch-natively; the suffix says so in the plan
+  // (plan fingerprints hash labels only, so it never perturbs them).
+  return label + " [batch]";
 }
 
 std::vector<runtime::physical::ExplainNode> DescribeFLWOR(

@@ -367,6 +367,7 @@ Status DataServicePlatform::RunExecution(
   record.plan = &plan;
   record.plan_cache_hit = plan_cache_hit;
   record.principal = principal != nullptr ? principal->user : "";
+  record.captured = request != TraceRequest::kReplayed;
   const std::string tenant =
       record.principal.empty() ? "(anonymous)" : record.principal;
 
@@ -608,7 +609,7 @@ void DataServicePlatform::FinishObservation(const ExecutionRecord& r) {
 
   // Workload capture: the replay driver needs the verbatim text plus the
   // identity fingerprints; everything else is the comparison baseline.
-  if (workload_capture_.load(std::memory_order_relaxed)) {
+  if (r.captured && workload_capture_.load(std::memory_order_relaxed)) {
     observability::WorkloadJournalEntry capture;
     capture.statement_fingerprint = plan.statement_fingerprint;
     capture.plan_fingerprint = plan.fingerprint;
@@ -1031,10 +1032,6 @@ std::string DataServicePlatform::WorkloadJournalJsonl() {
 observability::ReplayReport DataServicePlatform::ReplayWorkload(
     const std::vector<observability::WorkloadJournalEntry>& entries,
     const observability::ReplayOptions& options) {
-  // Suspend capture for the duration: a replay measuring the server must
-  // not also append itself to the journal it may be replayed from.
-  const bool was_capturing = workload_capture();
-  SetWorkloadCapture(false);
   observability::ReplayDriver driver(
       entries, [this](const observability::WorkloadJournalEntry& entry) {
         observability::ReplayExecution exec;
@@ -1055,8 +1052,11 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
         principal.user = entry.principal;
         const bool as_principal =
             !entry.principal.empty() && entry.principal != "(anonymous)";
+        // A replay measuring the server must not also append itself to
+        // the journal it may be replayed from.
         Result<xml::Sequence> result = ExecuteMaterialized(
-            **plan, cache_hit, as_principal ? &principal : nullptr);
+            **plan, cache_hit, as_principal ? &principal : nullptr,
+            TraceRequest::kReplayed);
         exec.ok = result.ok();
         exec.shed = !result.ok() &&
                     result.status().code() == StatusCode::kResourceExhausted;
@@ -1066,7 +1066,6 @@ observability::ReplayReport DataServicePlatform::ReplayWorkload(
         return exec;
       });
   observability::ReplayReport report = driver.Run(options);
-  SetWorkloadCapture(was_capturing);
   audit_.Record("workload_replay", "",
                 "ops=" + std::to_string(report.ops) +
                     " errors=" + std::to_string(report.errors) +

@@ -107,9 +107,9 @@ struct ServerOptions {
   /// Retained workload-journal entries (bounded ring): every observed
   /// Execute* is recorded for later JSONL export and replay.
   size_t workload_journal_capacity = 4096;
-  /// Capture executions into the workload journal. Flipped off during
-  /// ReplayWorkload so a replay does not journal itself; also togglable
-  /// at runtime via SetWorkloadCapture.
+  /// Capture executions into the workload journal; togglable at runtime
+  /// via SetWorkloadCapture. ReplayWorkload's own executions are never
+  /// captured, whatever this says.
   bool workload_capture = true;
 
   // ----- Plan lifecycle plane ------------------------------------------
@@ -325,9 +325,6 @@ class DataServicePlatform {
   runtime::MetricsRegistry::Snapshot MetricsSnapshot();
   std::string MetricsText();
   std::string MetricsJson();
-  /// The always-on metrics export API (counters, source histograms,
-  /// rolling windows, windowed cache-hit counters, pool gauges).
-  std::string MetricsSnapshotJson() { return MetricsJson(); }
   /// The same snapshot in Prometheus text exposition format, for scrape
   /// endpoints (per-tenant gauges as labelled families, source latency
   /// as cumulative `le` buckets).
@@ -382,9 +379,8 @@ class DataServicePlatform {
 
   // ----- Concurrent serving plane (admission control) ------------------
 
-  /// Admission gate state: slots, lanes, shed counters, wait histogram.
-  std::string AdmissionText() { return admission_.Snapshot().RenderText(); }
-  std::string AdmissionJson() { return admission_.Snapshot().RenderJson(); }
+  /// Admission gate state (slots, lanes, shed counters, wait histogram)
+  /// renders through admission().Snapshot().RenderText/RenderJson.
   AdmissionController& admission() { return admission_; }
 
   // ----- Plan lifecycle plane ------------------------------------------
@@ -418,8 +414,9 @@ class DataServicePlatform {
 
   /// Re-runs a captured workload against this server in open loop
   /// (recorded arrival offsets, scaled by options.speed) or closed loop
-  /// (options.clients simulated clients). Capture is suspended for the
-  /// duration so the replay does not journal itself. The report carries
+  /// (options.clients simulated clients). The replayed executions are
+  /// audited but not journaled; other clients' executions running at the
+  /// same time are journaled as usual. The report carries
   /// throughput, exact p50/p99/p999 latency, and the per-statement
   /// comparison vs the captured baseline with fingerprint verification.
   observability::ReplayReport ReplayWorkload(
@@ -475,6 +472,9 @@ class DataServicePlatform {
     kObserved,
     /// A timeline with a root `query` span (ExecuteProfiled).
     kProfiled,
+    /// kObserved's trace for a ReplayWorkload execution: audited, but not
+    /// captured into the workload journal it may be replayed from.
+    kReplayed,
   };
 
   /// The facts one execution leaves behind, handed to FinishObservation.
@@ -495,6 +495,8 @@ class DataServicePlatform {
     int64_t wall_micros = 0;
     int64_t peak_bytes = 0;
     int64_t security_denials = 0;
+    /// False for a replayed execution: kept out of the workload journal.
+    bool captured = true;
   };
 
   /// Evaluates the plan under the scope's runtime context, adding rows,

@@ -473,7 +473,7 @@ TEST_F(ObservabilityServerTest, RollingMetricsFedByExecutions) {
   EXPECT_EQ(snap.windowed_counters.at("plan_cache.misses").total, 1);
   EXPECT_GE(snap.counters.at("worker_pool.size"), 1);
   EXPECT_EQ(snap.counters.at("audit_log.records"), 2);
-  std::string json = platform_.MetricsSnapshotJson();
+  std::string json = platform_.MetricsJson();
   EXPECT_NE(json.find("\"windows\""), std::string::npos);
   EXPECT_NE(json.find("\"query.latency_micros\""), std::string::npos);
   EXPECT_NE(json.find("\"windowed_counters\""), std::string::npos);

@@ -230,8 +230,8 @@ TEST(ReplayTest, ClosedLoopRoundTripVerifiesFingerprints) {
   }
   EXPECT_EQ(replayed_total, 40);
 
-  // The replay suspended capture: the journal still holds the original
-  // workload only, and capture resumed afterwards.
+  // The replayed executions were not captured: the journal still holds
+  // the original workload only, and capture stays on.
   EXPECT_EQ(env.platform.workload_journal().total_appended(), captured);
   EXPECT_TRUE(env.platform.workload_capture());
   ASSERT_TRUE(env.platform.Execute("fn:count(ns3:ORDER())").ok());
@@ -241,6 +241,58 @@ TEST(ReplayTest, ClosedLoopRoundTripVerifiesFingerprints) {
   EXPECT_TRUE(Contains(text, "replay: 40 ops")) << text;
   const std::string json = report.RenderJson();
   EXPECT_TRUE(Contains(json, "\"fingerprint_mismatches\":0")) << json;
+}
+
+TEST(ReplayTest, ReplayLeavesOtherClientsCaptured) {
+  WorkloadServer env;
+  env.RunCapturedWorkload();
+  const auto entries = env.platform.workload_journal().Records();
+  const int64_t captured = env.platform.workload_journal().total_appended();
+  const int64_t audited = env.platform.execution_audit().total_appended();
+
+  // A slow closed-loop replay: 40 ops, 5 ms think time each.
+  ReplayOptions opts;
+  opts.mode = ReplayOptions::Mode::kClosedLoop;
+  opts.clients = 1;
+  opts.total_ops = 40;
+  opts.think_micros = 5'000;
+  std::atomic<bool> replay_done{false};
+  ReplayReport report;
+  std::thread replay([&] {
+    report = env.platform.ReplayWorkload(entries, opts);
+    replay_done.store(true);
+  });
+  // Another client executes once the replay's first op is audited.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (env.platform.execution_audit().total_appended() == audited &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string other = "fn:count(ns3:ORDER())";
+  const bool other_ok = env.platform.Execute(other).ok();
+  const bool overlapped = !replay_done.load();
+  replay.join();
+  ASSERT_TRUE(other_ok);
+  ASSERT_TRUE(overlapped) << "the replay ended before the other client ran";
+  EXPECT_EQ(report.ops, 40);
+  EXPECT_EQ(report.errors, 0);
+
+  // The other client's execution is journaled; the replayed ones are not.
+  EXPECT_EQ(env.platform.workload_journal().total_appended(), captured + 1);
+  const auto journal = env.platform.workload_journal().Records();
+  ASSERT_FALSE(journal.empty());
+  EXPECT_EQ(journal.back().text, other);
+  EXPECT_TRUE(env.platform.workload_capture());
+
+  // Every execution is audited: one AuditLog() line per replayed op, plus
+  // the other client's.
+  EXPECT_EQ(env.platform.execution_audit().total_appended(),
+            audited + 40 + 1);
+  const std::string audit = env.platform.AuditLog();
+  int64_t lines = 0;
+  for (char c : audit) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, audited + 40 + 1);
 }
 
 TEST(ReplayTest, OpenLoopReplaysOnePassInOffsetOrder) {
